@@ -1,8 +1,9 @@
 // Component microbenchmarks: per-packet decode, each Table-1 parser,
-// flow-table lookup, sampling, and the top-k window operations — the
-// per-stage costs behind the Fig. 5/6 system numbers.
+// flow-table lookup, sampling, the emulated fabric hop, and the top-k window
+// operations — the per-stage costs behind the Fig. 5/6 system numbers.
 #include <benchmark/benchmark.h>
 
+#include "core/emulation.hpp"
 #include "nf/parser.hpp"
 #include "nf/sampler.hpp"
 #include "parsers/parsers.hpp"
@@ -93,6 +94,39 @@ void BM_FlowTableLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FlowTableLookup)->Arg(4)->Arg(64)->Arg(512);
+
+// One mirrored cross-rack frame through the emulated fabric: decode at
+// ingress, source ToR, destination ToR (mirror rule hit), monitor sink.
+void BM_EmulationTransmit(benchmark::State& state) {
+  auto emu = core::Emulation::make_small(4);
+  const auto src = *emu.ip_of_name("h0");
+  const auto dst = *emu.ip_of_name("h5");  // another rack: two ToR hops
+  const auto dst_tor = emu.topology().tor_of_host(*emu.node_of_name("h5"));
+  std::uint64_t mirrored = 0;
+  const auto port = emu.attach_monitor(
+      dst_tor, [&mirrored](const net::DecodedPacket&) { ++mirrored; });
+  sdn::FlowMatch match;
+  match.dst_prefix = net::Ipv4Prefix{dst, 32};
+  match.dst_port = 80;
+  emu.controller().install_mirror(core::Emulation::switch_id(dst_tor), match,
+                                  core::Emulation::kDeliveryPort, port, 10, 0);
+
+  pktgen::GeneratorConfig cfg;
+  cfg.kind = pktgen::TrafficKind::http_get;
+  cfg.flow_count = 1;
+  cfg.src_base = src;
+  cfg.dst_base = dst;
+  pktgen::TrafficGenerator gen(cfg);
+  common::Timestamp ts = 0;
+  for (auto _ : state) {
+    emu.transmit(gen.next_frame(), ++ts);
+  }
+  if (mirrored != static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("a transmitted frame missed the mirror port");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EmulationTransmit);
 
 void BM_RollingCounterIncr(benchmark::State& state) {
   stream::RollingCounter counter(10);

@@ -167,8 +167,9 @@ struct CountSpout final : stream::Spout {
   bool next_tuple(stream::Collector& out, common::Timestamp) override {
     if (left == 0) return false;
     --left;
-    out.emit(stream::Tuple{
-        {std::uint64_t(left), std::string("k" + std::to_string(left % 8))}});
+    std::string key = "k";
+    key += std::to_string(left % 8);
+    out.emit(stream::Tuple{{std::uint64_t(left), std::move(key)}});
     return true;
   }
   std::size_t left;

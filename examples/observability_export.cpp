@@ -47,8 +47,10 @@ int main(int argc, char** argv) {
   common::Timestamp now = common::kSecond;
   int port = 30000;
   for (int i = 0; i < 60; ++i) {
+    std::string client = "h";
+    client += std::to_string(i % 4);
     pktgen::SessionSpec s;
-    s.flow = {*emu.ip_of_name("h" + std::to_string(i % 4)),
+    s.flow = {*emu.ip_of_name(client),
               *emu.ip_of_name("h5"), static_cast<net::Port>(port++), 80, 6};
     s.start = now;
     s.rtt = common::kMillisecond;

@@ -46,8 +46,10 @@ int main() {
   common::Timestamp now = common::kSecond;
   int port = 30000;
   for (int i = 0; i < 120; ++i) {
+    std::string client = "h";
+    client += std::to_string(i % 4);
     pktgen::SessionSpec s;
-    s.flow = {*emu.ip_of_name("h" + std::to_string(i % 4)),  // clients h0..h3
+    s.flow = {*emu.ip_of_name(client),  // clients h0..h3
               *emu.ip_of_name("h5"), static_cast<net::Port>(port++), 80, 6};
     s.start = now;
     s.rtt = common::kMillisecond;

@@ -128,6 +128,17 @@ class ByteReader {
   std::size_t remaining() const noexcept { return buf_.size() - pos_; }
   bool done() const noexcept { return remaining() == 0; }
 
+  /// Bound an element count read from the input: `n` elements of at least
+  /// `min_item_bytes` encoded bytes each must fit in what is left. Call it
+  /// before reserving `n`, so a corrupt count cannot ask for memory the
+  /// input could never fill.
+  std::size_t count(std::size_t n, std::size_t min_item_bytes) const {
+    if (n > remaining() / min_item_bytes) {
+      throw std::out_of_range("ByteReader: count exceeds remaining input");
+    }
+    return n;
+  }
+
  private:
   std::span<const std::byte> take(std::size_t n) {
     if (remaining() < n) throw std::out_of_range("ByteReader: underflow");

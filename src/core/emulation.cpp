@@ -22,8 +22,7 @@ Emulation::Emulation(dcn::Topology topo) : topo_(std::move(topo)) {
 
     // Delivery is counted in transmit() (a cross-rack frame visits two
     // switches; only its arrival at the destination ToR is a delivery).
-    state.sw->connect_port(kDeliveryPort,
-                           [](std::span<const std::byte>, common::Timestamp) {});
+    state.sw->connect_port(kDeliveryPort, [](const net::DecodedPacket&) {});
     tors_.emplace(tor, std::move(state));
   }
 }
@@ -41,8 +40,9 @@ void Emulation::bind_host(const std::string& name, net::Ipv4Addr ip,
     throw std::invalid_argument("bind_host: ip " + net::format_ipv4(ip) +
                                 " already bound");
   }
+  sdn::SdnSwitch* tor = tors_.at(topo_.tor_of_host(node)).sw.get();
   name_to_ip_[name] = ip;
-  ip_to_node_[ip] = node;
+  ip_to_node_[ip] = {node, tor};
 }
 
 Emulation Emulation::make_small(std::size_t hosts_per_rack) {
@@ -52,7 +52,9 @@ Emulation Emulation::make_small(std::size_t hosts_per_rack) {
   for (std::size_t rack = 0; rack < tors.size(); ++rack) {
     std::size_t slot = 1;
     for (const auto host : emu.topo_.hosts_under_tor(tors[rack])) {
-      emu.bind_host("h" + std::to_string(i++),
+      std::string name = "h";
+      name += std::to_string(i++);
+      emu.bind_host(name,
                     net::make_ipv4(10, 0, static_cast<std::uint8_t>(rack),
                                    static_cast<std::uint8_t>(slot++)),
                     host);
@@ -64,7 +66,7 @@ Emulation Emulation::make_small(std::size_t hosts_per_rack) {
 std::optional<dcn::NodeId> Emulation::node_of_ip(net::Ipv4Addr ip) const {
   const auto it = ip_to_node_.find(ip);
   if (it == ip_to_node_.end()) return std::nullopt;
-  return it->second;
+  return it->second.node;
 }
 
 std::optional<net::Ipv4Addr> Emulation::ip_of_name(const std::string& name) const {
@@ -80,8 +82,8 @@ std::optional<dcn::NodeId> Emulation::node_of_name(const std::string& name) cons
 }
 
 std::optional<net::Ipv4Addr> Emulation::ip_of_node(dcn::NodeId node) const {
-  for (const auto& [ip, n] : ip_to_node_) {
-    if (n == node) return ip;
+  for (const auto& [ip, ep] : ip_to_node_) {
+    if (ep.node == node) return ip;
   }
   return std::nullopt;
 }
@@ -89,8 +91,8 @@ std::optional<net::Ipv4Addr> Emulation::ip_of_node(dcn::NodeId node) const {
 std::vector<dcn::NodeId> Emulation::nodes_in_prefix(
     const net::Ipv4Prefix& prefix) const {
   std::vector<dcn::NodeId> out;
-  for (const auto& [ip, node] : ip_to_node_) {
-    if (prefix.contains(ip)) out.push_back(node);
+  for (const auto& [ip, ep] : ip_to_node_) {
+    if (prefix.contains(ip)) out.push_back(ep.node);
   }
   return out;
 }
@@ -98,8 +100,8 @@ std::vector<dcn::NodeId> Emulation::nodes_in_prefix(
 std::vector<std::pair<dcn::NodeId, net::Ipv4Addr>> Emulation::endpoints_in_prefix(
     const net::Ipv4Prefix& prefix) const {
   std::vector<std::pair<dcn::NodeId, net::Ipv4Addr>> out;
-  for (const auto& [ip, node] : ip_to_node_) {
-    if (prefix.contains(ip)) out.emplace_back(node, ip);
+  for (const auto& [ip, ep] : ip_to_node_) {
+    if (prefix.contains(ip)) out.emplace_back(ep.node, ip);
   }
   return out;
 }
@@ -117,28 +119,25 @@ std::uint32_t Emulation::attach_monitor(dcn::NodeId tor, sdn::PortSink sink) {
 
 void Emulation::transmit(std::span<const std::byte> frame, common::Timestamp ts) {
   ++transmitted_;
-  const auto decoded = net::decode_packet(frame);
+  auto decoded = net::decode_packet(frame);
   if (!decoded || !decoded->has_ipv4) return;
+  decoded->timestamp = ts;
 
-  const auto src_node = node_of_ip(decoded->ipv4.src);
-  const auto dst_node = node_of_ip(decoded->ipv4.dst);
-
-  std::optional<dcn::NodeId> src_tor, dst_tor;
-  if (src_node) src_tor = topo_.tor_of_host(*src_node);
-  if (dst_node) dst_tor = topo_.tor_of_host(*dst_node);
+  const auto src = ip_to_node_.find(decoded->ipv4.src);
+  const auto dst = ip_to_node_.find(decoded->ipv4.dst);
+  sdn::SdnSwitch* src_tor = src != ip_to_node_.end() ? src->second.tor : nullptr;
+  sdn::SdnSwitch* dst_tor = dst != ip_to_node_.end() ? dst->second.tor : nullptr;
 
   // Visit the source ToR first (mirrors fire), then the destination ToR
   // (mirrors fire, delivery counted). With both ends in one rack the frame
   // crosses a single switch, like the real fabric.
-  if (src_tor) {
-    tors_.at(*src_tor).sw->handle_packet(kIngressPort, frame, ts);
-    if (dst_tor && *dst_tor != *src_tor) {
-      tors_.at(*dst_tor).sw->handle_packet(kIngressPort, frame, ts);
-    }
-  } else if (dst_tor) {
-    tors_.at(*dst_tor).sw->handle_packet(kIngressPort, frame, ts);
+  if (src_tor != nullptr) {
+    src_tor->handle_packet(kIngressPort, *decoded);
   }
-  if (dst_node) {
+  if (dst_tor != nullptr && dst_tor != src_tor) {
+    dst_tor->handle_packet(kIngressPort, *decoded);
+  }
+  if (dst_tor != nullptr) {
     ++delivered_;
     delivered_bytes_ += frame.size();
   }

@@ -71,9 +71,10 @@ class Emulation {
   /// Attach a monitor sink to a ToR switch; returns the port to mirror to.
   std::uint32_t attach_monitor(dcn::NodeId tor, sdn::PortSink sink);
 
-  /// Inject a frame from its source host. The frame visits the source ToR
-  /// and (when different) the destination ToR, so mirror rules fire
-  /// wherever the covering monitor lives.
+  /// Inject a frame from its source host. The frame is decoded once here;
+  /// the decoded packet visits the source ToR and (when different) the
+  /// destination ToR, so mirror rules fire wherever the covering monitor
+  /// lives.
   void transmit(std::span<const std::byte> frame, common::Timestamp ts);
 
   std::uint64_t delivered_packets() const noexcept { return delivered_; }
@@ -88,8 +89,17 @@ class Emulation {
 
   dcn::Topology topo_;
   sdn::Controller controller_;
+  /// A bound IP's host and the live switch of that host's rack, so
+  /// transmit() resolves each endpoint with one lookup.
+  struct Endpoint {
+    dcn::NodeId node = 0;
+    sdn::SdnSwitch* tor = nullptr;
+  };
+
   std::map<dcn::NodeId, TorState> tors_;
-  std::map<net::Ipv4Addr, dcn::NodeId> ip_to_node_;
+  // Ordered by IP: nodes_in_prefix/endpoints_in_prefix drive placement
+  // order (docs/DETERMINISM.md).
+  std::map<net::Ipv4Addr, Endpoint> ip_to_node_;
   std::map<std::string, net::Ipv4Addr> name_to_ip_;
   std::uint64_t delivered_ = 0;
   std::uint64_t delivered_bytes_ = 0;

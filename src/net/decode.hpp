@@ -1,6 +1,7 @@
 // One-pass packet decoder: classifies a raw frame into layered views that
-// parsers and SDN match logic consume. Decoding happens once per packet in
-// the collector; every parser then reads the same DecodedPacket.
+// parsers and SDN match logic consume. Decoding happens once per packet at
+// its capture point (emulation ingress, or a threaded monitor's collector);
+// every switch and parser on its path then reads the same DecodedPacket.
 #pragma once
 
 #include <optional>

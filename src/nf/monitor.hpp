@@ -110,7 +110,13 @@ class Monitor {
   bool inject(net::PacketPtr pkt) noexcept;
 
   // ---- inline mode ----
-  /// Decode/sample/parse one raw frame synchronously on this thread.
+  /// Sample/parse one decoded packet synchronously on this thread; its
+  /// `timestamp` is the arrival time. This is the engine's mirror-port entry:
+  /// the switch hands on the packet it decoded at ingress.
+  void process(const net::DecodedPacket& pkt);
+  /// Raw-frame entry: decode, stamp `ts`, then as above. A frame that does
+  /// not decode is charged to ingest_decode_error (after the RX-overflow
+  /// fault draw, as for any admitted packet).
   void process(std::span<const std::byte> frame, common::Timestamp ts);
   /// Run aggregating parsers' periodic flush (inline mode).
   void tick(common::Timestamp now);
@@ -157,6 +163,9 @@ class Monitor {
   /// `trace` tags the records this packet produces (0 = untraced).
   void parse_guarded(Worker& w, const net::DecodedPacket& decoded,
                      std::size_t raw_size, std::uint64_t trace);
+  /// Inline-mode admission: count the packet and take the RX-overflow fault
+  /// draw. False = dropped.
+  bool admit(common::Timestamp ts) noexcept;
   void drop(common::DropCause cause, common::Counter& counter) noexcept {
     counter.inc();
     if (config_.drop_ledger != nullptr) config_.drop_ledger->add(cause);

@@ -9,13 +9,15 @@
 #include <map>
 #include <span>
 
+#include "net/decode.hpp"
 #include "sdn/openflow.hpp"
 
 namespace netalytics::sdn {
 
-/// Called when the switch sends a frame out a port.
-using PortSink = std::function<void(std::span<const std::byte> frame,
-                                    common::Timestamp ts)>;
+/// Called when the switch sends a frame out a port. The packet is the one
+/// decoded at ingress: `frame` is the transmitted buffer (never a copy) and
+/// `timestamp` the arrival time.
+using PortSink = std::function<void(const net::DecodedPacket& pkt)>;
 
 /// Controller-side handler for table misses. Returns the actions to apply
 /// to this packet (and typically installs a rule via the controller's
@@ -50,7 +52,13 @@ class SdnSwitch {
     handler_ = handler;
   }
 
-  /// Data plane entry: a frame arrives on `in_port`.
+  /// Data plane entry: an already-decoded packet arrives on `in_port`.
+  /// Switches never rewrite frames, so every sink sees the ingress decode;
+  /// an action that rewrites bytes must re-decode before handing them on.
+  void handle_packet(std::uint32_t in_port, const net::DecodedPacket& pkt);
+
+  /// Raw-frame entry: decode, stamp `ts`, then as above. A frame that does
+  /// not decode counts as received and dropped.
   void handle_packet(std::uint32_t in_port, std::span<const std::byte> frame,
                      common::Timestamp ts);
 
@@ -62,8 +70,7 @@ class SdnSwitch {
   const SwitchStats& stats() const noexcept { return stats_; }
 
  private:
-  void run_actions(const ActionList& actions, std::span<const std::byte> frame,
-                   common::Timestamp ts);
+  void run_actions(const ActionList& actions, const net::DecodedPacket& pkt);
 
   SwitchId id_;
   FlowTable table_;

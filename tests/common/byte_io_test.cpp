@@ -58,6 +58,18 @@ TEST(ByteIo, ReaderThrowsOnTruncatedString) {
   EXPECT_THROW(r.str(), std::out_of_range);
 }
 
+TEST(ByteIo, CountBoundedByRemainingInput) {
+  ByteWriter w;
+  w.u64(1);
+  w.u64(2);
+  ByteReader r(w.view());
+  EXPECT_EQ(r.count(2, 8), 2u);  // exactly fills the input
+  EXPECT_EQ(r.count(0, 8), 0u);
+  EXPECT_THROW(r.count(3, 8), std::out_of_range);
+  EXPECT_THROW(r.count(0xffffffffu, 1), std::out_of_range);
+  EXPECT_EQ(r.remaining(), 16u);  // count() consumes nothing
+}
+
 TEST(ByteIo, EmptyString) {
   ByteWriter w;
   w.str("");

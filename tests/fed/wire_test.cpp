@@ -139,6 +139,21 @@ TEST(FedWire, TruncatedPayloadThrowsFromDecoders) {
   EXPECT_THROW(decode_welcome(cut), std::out_of_range);
 }
 
+// Golden regressions: a METRICS payload that claims 2^32-1 samples in a few
+// bytes throws the documented out_of_range instead of reserving for them.
+TEST(FedWire, HugeCounterCountThrows) {
+  std::vector<std::byte> payload(8);  // tick 0
+  for (int i = 0; i < 4; ++i) payload.push_back(std::byte{0xff});
+  payload.resize(payload.size() + 12);  // room for one sample, not 2^32-1
+  EXPECT_THROW(decode_metrics(payload), std::out_of_range);
+}
+
+TEST(FedWire, HugeGaugeCountThrows) {
+  std::vector<std::byte> payload(8 + 4);  // tick 0, zero counters
+  for (int i = 0; i < 4; ++i) payload.push_back(std::byte{0xff});
+  EXPECT_THROW(decode_metrics(payload), std::out_of_range);
+}
+
 TEST(FedWire, ParserResetDiscardsPartialFrame) {
   const auto h = encode(Hello{.node_name = "x"});
   FrameParser p;

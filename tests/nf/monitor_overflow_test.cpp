@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "common/fault.hpp"
+#include "common/trace.hpp"
+#include "net/decode.hpp"
 #include "nf/monitor.hpp"
 #include "parsers/parsers.hpp"
 #include "pktgen/builder.hpp"
@@ -164,6 +166,87 @@ TEST_F(MonitorOverflowTest, ThreadedWorkerOverflowAndThrowAreCounted) {
   // pool buffer came back (faulted descriptors released their refcounts).
   EXPECT_EQ(stats.records, stats.parsed);
   EXPECT_EQ(pool.available(), pool.capacity());
+}
+
+TEST_F(MonitorOverflowTest, UndecodableFrameIsChargedAsDecodeError) {
+  common::MetricsRegistry registry;
+  common::DropLedger ledger(registry);
+  SharedCapture cap;
+  MonitorConfig cfg;
+  cfg.parsers = {{"http_get", 1}};
+  cfg.drop_ledger = &ledger;
+  Monitor mon(cfg, cap.sink());
+
+  const std::vector<std::byte> runt(5);
+  mon.process(runt, 1);
+  const auto stats = mon.stats();
+  EXPECT_EQ(stats.rx_packets, 1u);
+  EXPECT_EQ(stats.decode_failed, 1u);
+  EXPECT_EQ(stats.parsed, 0u);
+  EXPECT_EQ(ledger.value(common::DropCause::ingest_decode_error), 1u);
+}
+
+TEST_F(MonitorOverflowTest, RxOverflowDrawPrecedesDecodeCharge) {
+  // Every admitted packet takes the RX-overflow draw before it is decoded,
+  // undecodable ones included: with every 2nd check firing, the fault wins
+  // on packets 2 and 4 whatever their bytes.
+  SharedCapture cap;
+  MonitorConfig cfg;
+  cfg.parsers = {{"http_get", 1}};
+  cfg.output_batch_records = 1;
+  Monitor mon(cfg, cap.sink());
+
+  common::FaultPlan plan(9);
+  common::FaultSpec spec;
+  spec.every_nth = 2;
+  plan.arm(std::string(kFaultRxOverflow), spec);
+  mon.install_faults(&plan);
+
+  const std::vector<std::byte> runt(5);
+  mon.process(runt, 1);           // draw 1: no fire -> decode error
+  mon.process(runt, 2);           // draw 2: fires -> overflow, not decode
+  mon.process(http_frame(3), 3);  // draw 3: no fire -> parsed
+  mon.process(http_frame(4), 4);  // draw 4: fires -> overflow
+  mon.close(10);
+
+  const auto stats = mon.stats();
+  EXPECT_EQ(stats.rx_packets, 4u);
+  EXPECT_EQ(stats.decode_failed, 1u);
+  EXPECT_EQ(stats.rx_dropped, 2u);
+  EXPECT_EQ(stats.parsed, 1u);
+  EXPECT_EQ(plan.site_stats(kFaultRxOverflow).checks, 4u);
+  EXPECT_EQ(plan.fires(kFaultRxOverflow), 2u);
+}
+
+TEST_F(MonitorOverflowTest, DecodedEntryMatchesSpanEntry) {
+  SharedCapture span_cap, decoded_cap;
+  MonitorConfig cfg;
+  cfg.parsers = {{"http_get", 1}, {"tcp_pkt_size", 2}};
+  cfg.output_batch_records = 4;
+  Monitor by_span(cfg, span_cap.sink());
+  Monitor by_decoded(cfg, decoded_cap.sink());
+
+  for (int i = 0; i < 40; ++i) {
+    const auto frame = http_frame(i);
+    by_span.process(frame, i);
+    auto pkt = net::decode_packet(frame);
+    ASSERT_TRUE(pkt.has_value());
+    pkt->timestamp = i;
+    by_decoded.process(*pkt);
+  }
+  by_span.close(100);
+  by_decoded.close(100);
+
+  const auto a = by_span.stats();
+  const auto b = by_decoded.stats();
+  EXPECT_EQ(a.rx_packets, b.rx_packets);
+  EXPECT_EQ(a.dispatched, b.dispatched);
+  EXPECT_EQ(a.parsed, b.parsed);
+  EXPECT_EQ(a.records, b.records);
+  EXPECT_EQ(a.record_bytes, b.record_bytes);
+  EXPECT_EQ(a.raw_bytes, b.raw_bytes);
+  EXPECT_EQ(span_cap.records, decoded_cap.records);
+  EXPECT_EQ(a.parsed, 80u);  // 40 packets x 2 parser groups
 }
 
 TEST_F(MonitorOverflowTest, NoPlanMeansNoFaultPath) {

@@ -102,6 +102,48 @@ TEST(Record, DataReductionVersusRawPacket) {
   EXPECT_LT(serialized_size(r), 80u);
 }
 
+// Golden regressions: payloads that claim far more elements than their
+// bytes could hold must throw the documented out_of_range before any
+// allocation sized by the claimed count.
+std::vector<std::byte> bytes_of(std::initializer_list<unsigned> values) {
+  std::vector<std::byte> out;
+  for (const unsigned v : values) out.push_back(static_cast<std::byte>(v));
+  return out;
+}
+
+TEST(Record, HugeRecordCountInUniformBatchThrows) {
+  // layout uniform(1) | topic "t" | count 2^32-1 | nothing else
+  const auto payload = bytes_of({0x01, 0x01, 0x00, 0x00, 0x00, 't',
+                                 0xff, 0xff, 0xff, 0xff});
+  EXPECT_THROW(deserialize_batch(payload), std::out_of_range);
+}
+
+TEST(Record, HugeRecordCountInPerRecordBatchThrows) {
+  // layout per-record(2) | count 2^32-1 | 30 stray bytes
+  auto payload = bytes_of({0x02, 0xff, 0xff, 0xff, 0xff});
+  payload.resize(payload.size() + 30);
+  EXPECT_THROW(deserialize_batch(payload), std::out_of_range);
+}
+
+TEST(Record, HugeFieldCountThrows) {
+  // layout uniform | topic "t" | count 1 | id 0 | ts 0 | 65535 fields | none
+  auto payload = bytes_of({0x01, 0x01, 0x00, 0x00, 0x00, 't',
+                           0x01, 0x00, 0x00, 0x00});
+  payload.resize(payload.size() + 16);  // id + timestamp
+  payload.push_back(std::byte{0xff});
+  payload.push_back(std::byte{0xff});
+  EXPECT_THROW(deserialize_batch(payload), std::out_of_range);
+}
+
+TEST(Record, CountAtTheBoundStillDecodes) {
+  // Five empty-field records in a uniform batch are exactly 5 x 18 bytes
+  // after the header: the bound admits a count the input really holds.
+  Record r;
+  r.topic = "t";
+  const std::vector<Record> batch(5, r);
+  EXPECT_EQ(deserialize_batch(serialize_batch(batch)).size(), 5u);
+}
+
 TEST(Record, FieldAccessHelpers) {
   const Record r = sample_record();
   EXPECT_EQ(as_i64(r.fields[0]), -5);

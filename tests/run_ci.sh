@@ -1,12 +1,13 @@
 #!/usr/bin/env sh
 # The repo's CI entry point: every lane a merge must survive, one command.
 #
-#   tests/run_ci.sh              # tier-1 + ASan + TSan + docs + coverage
+#   tests/run_ci.sh              # tier-1 + ASan + TSan + docs + coverage + perfbench
 #   tests/run_ci.sh tier1        # plain build + full ctest suite only
 #   tests/run_ci.sh asan         # AddressSanitizer build + full ctest suite
 #   tests/run_ci.sh tsan         # ThreadSanitizer lane (tests/run_tsan.sh)
 #   tests/run_ci.sh docs         # docs-consistency check (tests/check_docs.sh)
 #   tests/run_ci.sh coverage     # gcov line-coverage gate (tests/run_coverage.sh)
+#   tests/run_ci.sh perfbench    # end-to-end benchmark self-test (perfbench/run.py)
 #
 # Lanes:
 #   tier1  cmake -B build-ci && ctest            (the acceptance gate)
@@ -20,6 +21,10 @@
 #   coverage  delegates to tests/run_coverage.sh (gcov line coverage for
 #          src/mq, src/stream, src/tsdb and the src/obs + src/fed
 #          per-file floors must stay at or above the recorded baselines)
+#   perfbench  `python3 perfbench/run.py --selftest`: builds the benchmark
+#          program into .bench_build/ against the current src/ and requires
+#          identical counts across repeated short runs with zero failed
+#          operations, so an API change that breaks the benchmark fails CI
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -59,12 +64,18 @@ run_coverage() {
   "$repo_root/tests/run_coverage.sh"
 }
 
+run_perfbench() {
+  echo "== CI lane: perfbench =="
+  (cd "$repo_root" && python3 perfbench/run.py --selftest)
+}
+
 if [ "$#" -eq 0 ]; then
   run_docs
   run_tier1
   run_asan
   run_tsan
   run_coverage
+  run_perfbench
   echo "== CI: all lanes green =="
   exit 0
 fi
@@ -76,8 +87,9 @@ for lane in "$@"; do
     tsan) run_tsan ;;
     docs) run_docs ;;
     coverage) run_coverage ;;
+    perfbench) run_perfbench ;;
     *)
-      echo "unknown lane: $lane (expected tier1|asan|tsan|docs|coverage)" >&2
+      echo "unknown lane: $lane (expected tier1|asan|tsan|docs|coverage|perfbench)" >&2
       exit 2
       ;;
   esac

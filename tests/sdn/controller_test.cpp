@@ -76,7 +76,7 @@ TEST(Controller, ReactiveForwardingAppInvoked) {
   });
   ctrl.register_switch(sw);
   int delivered = 0;
-  sw.connect_port(0, [&delivered](std::span<const std::byte>, common::Timestamp) {
+  sw.connect_port(0, [&delivered](const net::DecodedPacket&) {
     ++delivered;
   });
   sw.handle_packet(2, http_frame(), 0);
@@ -101,9 +101,9 @@ TEST(Controller, SharedMatchMergesMirrors) {
   Controller ctrl;
   ctrl.register_switch(sw);
   int mon_a = 0, mon_b = 0, delivered = 0;
-  sw.connect_port(0, [&](std::span<const std::byte>, common::Timestamp) { ++delivered; });
-  sw.connect_port(11, [&](std::span<const std::byte>, common::Timestamp) { ++mon_a; });
-  sw.connect_port(12, [&](std::span<const std::byte>, common::Timestamp) { ++mon_b; });
+  sw.connect_port(0, [&](const net::DecodedPacket&) { ++delivered; });
+  sw.connect_port(11, [&](const net::DecodedPacket&) { ++mon_a; });
+  sw.connect_port(12, [&](const net::DecodedPacket&) { ++mon_b; });
 
   FlowMatch match;
   match.dst_port = 80;
@@ -163,7 +163,7 @@ TEST(Controller, FlowStatsReflectTraffic) {
   FlowRule rule;
   rule.actions = {OutputAction{0}};
   ctrl.install_rule(1, rule, 0);
-  sw.connect_port(0, [](std::span<const std::byte>, common::Timestamp) {});
+  sw.connect_port(0, [](const net::DecodedPacket&) {});
   sw.handle_packet(2, http_frame(), 0);
   sw.handle_packet(2, http_frame(), 1);
   const auto stats = ctrl.flow_stats(1);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "pktgen/builder.hpp"
+#include "pktgen/generator.hpp"
 
 namespace netalytics::sdn {
 namespace {
@@ -19,9 +20,9 @@ struct PortCapture {
   int count = 0;
   std::size_t bytes = 0;
   PortSink sink() {
-    return [this](std::span<const std::byte> f, common::Timestamp) {
+    return [this](const net::DecodedPacket& pkt) {
       ++count;
-      bytes += f.size();
+      bytes += pkt.frame.size();
     };
   }
 };
@@ -141,6 +142,114 @@ TEST(SdnSwitch, MalformedFrameDropped) {
   sw.handle_packet(0, junk, 0);
   EXPECT_EQ(sw.stats().dropped, 1u);
   EXPECT_EQ(sw.stats().rx_packets, 1u);
+}
+
+TEST(SdnSwitch, DecodedEntryHandsOnTheSamePacket) {
+  SdnSwitch sw(1);
+  std::vector<net::DecodedPacket> seen;
+  sw.connect_port(0, [&seen](const net::DecodedPacket& p) { seen.push_back(p); });
+  sw.connect_port(7, [&seen](const net::DecodedPacket& p) { seen.push_back(p); });
+  sw.apply(mirror_mod(80, 0, 7), 0);
+
+  const auto frame = frame_to_port(80);
+  auto pkt = net::decode_packet(frame);
+  ASSERT_TRUE(pkt.has_value());
+  pkt->timestamp = 99;
+  sw.handle_packet(1, *pkt);
+  ASSERT_EQ(seen.size(), 2u);  // delivery port and mirror port
+  for (const auto& p : seen) {
+    EXPECT_EQ(p.frame.data(), frame.data());  // no copy
+    EXPECT_EQ(p.timestamp, 99u);
+  }
+}
+
+TEST(SdnSwitch, SpanEntryStampsTimestampWithoutCopying) {
+  SdnSwitch sw(1);
+  std::vector<net::DecodedPacket> seen;
+  sw.connect_port(7, [&seen](const net::DecodedPacket& p) { seen.push_back(p); });
+  sw.connect_port(0, [](const net::DecodedPacket&) {});
+  sw.apply(mirror_mod(80, 0, 7), 0);
+
+  const auto frame = frame_to_port(80);
+  sw.handle_packet(1, frame, 1234);
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].frame.data(), frame.data());
+  EXPECT_EQ(seen[0].timestamp, 1234u);
+  EXPECT_EQ(seen[0].five_tuple.dst_port, 80);
+}
+
+TEST(SdnSwitch, MalformedFrameNeverReachesASink) {
+  SdnSwitch sw(1);
+  PortCapture out, monitor;
+  sw.connect_port(0, out.sink());
+  sw.connect_port(7, monitor.sink());
+  FlowMod mod;
+  mod.rule.actions = {OutputAction{0}, MirrorAction{7}};  // wildcard
+  sw.apply(mod, 0);
+
+  std::vector<std::byte> junk(5);
+  sw.handle_packet(1, junk, 0);
+  EXPECT_EQ(sw.stats().rx_packets, 1u);
+  EXPECT_EQ(sw.stats().dropped, 1u);
+  EXPECT_EQ(sw.stats().matched, 0u);
+  EXPECT_EQ(out.count, 0);
+  EXPECT_EQ(monitor.count, 0);
+  EXPECT_EQ(sw.table().rules()[0].packet_count, 0u);
+}
+
+TEST(SdnSwitch, DecodedAndSpanEntriesCountAlikeOverAMix) {
+  SdnSwitch by_span(1), by_decoded(2);
+  PortCapture span_out, span_mon, dec_out, dec_mon;
+  by_span.connect_port(0, span_out.sink());
+  by_span.connect_port(7, span_mon.sink());
+  by_decoded.connect_port(0, dec_out.sink());
+  by_decoded.connect_port(7, dec_mon.sink());
+  for (SdnSwitch* sw : {&by_span, &by_decoded}) {
+    sw->apply(mirror_mod(80, 0, 7), 0);
+    FlowMod drop_mysql;
+    drop_mysql.rule.priority = 20;
+    drop_mysql.rule.match.dst_port = 3306;
+    drop_mysql.rule.actions = {DropAction{}};
+    sw->apply(drop_mysql, 0);
+  }
+
+  const std::pair<pktgen::TrafficKind, net::Port> kinds[] = {
+      {pktgen::TrafficKind::http_get, 80},
+      {pktgen::TrafficKind::mysql_query, 3306},
+      {pktgen::TrafficKind::memcached_get, 11211},
+      {pktgen::TrafficKind::raw_tcp, 443}};
+  common::Timestamp ts = 0;
+  for (const auto& [kind, dst_port] : kinds) {
+    pktgen::GeneratorConfig cfg;
+    cfg.kind = kind;
+    cfg.dst_port = dst_port;
+    cfg.flow_count = 32;
+    pktgen::TrafficGenerator gen(cfg);
+    for (int i = 0; i < 50; ++i) {
+      const auto frame = gen.next_frame();
+      by_span.handle_packet(1, frame, ++ts);
+      auto pkt = net::decode_packet(frame);
+      ASSERT_TRUE(pkt.has_value());
+      pkt->timestamp = ts;
+      by_decoded.handle_packet(1, *pkt);
+    }
+  }
+
+  const auto& a = by_span.stats();
+  const auto& b = by_decoded.stats();
+  EXPECT_EQ(a.rx_packets, b.rx_packets);
+  EXPECT_EQ(a.matched, b.matched);
+  EXPECT_EQ(a.missed, b.missed);
+  EXPECT_EQ(a.forwarded, b.forwarded);
+  EXPECT_EQ(a.mirrored, b.mirrored);
+  EXPECT_EQ(a.mirrored_bytes, b.mirrored_bytes);
+  EXPECT_EQ(a.dropped, b.dropped);
+  EXPECT_EQ(span_out.count, dec_out.count);
+  EXPECT_EQ(span_mon.count, dec_mon.count);
+  EXPECT_EQ(span_mon.bytes, dec_mon.bytes);
+  EXPECT_EQ(a.rx_packets, 200u);
+  EXPECT_EQ(a.mirrored, 50u);  // the HTTP frames
+  EXPECT_EQ(a.dropped, 150u);  // MySQL by rule; memcached and :443 miss
 }
 
 }  // namespace
