@@ -3,6 +3,10 @@
 // operations — the per-stage costs behind the Fig. 5/6 system numbers.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "core/emulation.hpp"
 #include "nf/parser.hpp"
 #include "nf/sampler.hpp"
@@ -128,17 +132,25 @@ void BM_EmulationTransmit(benchmark::State& state) {
 }
 BENCHMARK(BM_EmulationTransmit);
 
+// Arg: distinct keys. /4 stays in cache; /1000 is the http_topk URL set.
 void BM_RollingCounterIncr(benchmark::State& state) {
   stream::RollingCounter counter(10);
-  const std::string keys[] = {"/a", "/b", "/c", "/d"};
+  std::vector<std::string> keys;
+  for (std::int64_t k = 0; k < state.range(0); ++k) {
+    std::string key = "/url";
+    key += std::to_string(k);
+    keys.push_back(std::move(key));
+  }
   std::size_t i = 0;
   for (auto _ : state) {
-    counter.incr(keys[i++ % 4]);
+    counter.incr(keys[i++ % keys.size()]);
+    benchmark::DoNotOptimize(counter);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_RollingCounterIncr);
+BENCHMARK(BM_RollingCounterIncr)->Arg(4)->Arg(1000);
 
+// Every update raises a count, so every key enters the ranking.
 void BM_RankingsUpdate(benchmark::State& state) {
   stream::Rankings rankings(10);
   std::uint64_t i = 0;
@@ -149,5 +161,32 @@ void BM_RankingsUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RankingsUpdate);
+
+// The rank bolt's real input: running counts of Zipf(1.0) keys over 1,000
+// URLs into a top-10. About 60% of updates are for keys outside the top
+// 10 and sort below its k-th entry.
+void BM_RankingsUpdateZipf(benchmark::State& state) {
+  constexpr std::size_t kKeys = 1000;
+  std::vector<std::string> names;
+  for (std::size_t k = 0; k < kKeys; ++k) {
+    std::string name = "/url";
+    name += std::to_string(k);
+    names.push_back(std::move(name));
+  }
+  common::Rng rng(7);
+  const common::ZipfSampler zipf(kKeys, 1.0);
+  std::vector<std::size_t> sequence(1 << 16);
+  for (auto& key : sequence) key = zipf.sample(rng);
+  std::vector<std::uint64_t> counts(kKeys, 0);
+  stream::Rankings rankings(10);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::size_t key = sequence[i++ & (sequence.size() - 1)];
+    rankings.update(names[key], ++counts[key]);
+    benchmark::DoNotOptimize(rankings);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RankingsUpdateZipf);
 
 }  // namespace

@@ -114,10 +114,12 @@ class ByteReader {
   std::uint32_t u32() { std::uint32_t v; copy(&v, 4); return v; }
   std::uint64_t u64() { std::uint64_t v; copy(&v, 8); return v; }
   double f64() { double v; copy(&v, 8); return v; }
-  std::string str() {
+  std::string str() { return std::string(str_view()); }
+  /// Like str(), but borrows the bytes: valid while the input buffer is.
+  std::string_view str_view() {
     const auto n = u32();
     const auto s = take(n);
-    return std::string(reinterpret_cast<const char*>(s.data()), s.size());
+    return {reinterpret_cast<const char*>(s.data()), s.size()};
   }
   std::vector<std::byte> bytes() {
     const auto n = u32();

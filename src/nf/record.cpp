@@ -53,32 +53,26 @@ void write_record(common::ByteWriter& w, const Record& r, bool with_topic) {
   }
 }
 
-Record read_record(common::ByteReader& r, const std::string* shared_topic) {
-  Record rec;
-  rec.topic = shared_topic != nullptr ? *shared_topic : r.str();
-  rec.id = r.u64();
-  rec.timestamp = r.u64();
-  const std::size_t n = r.count(r.u16(), kMinFieldBytes);
-  rec.fields.reserve(n);
+void read_fields(common::ByteReader& r, std::size_t n,
+                 std::vector<FieldValue>& fields) {
   for (std::size_t i = 0; i < n; ++i) {
     switch (static_cast<FieldTag>(r.u8())) {
       case FieldTag::i64:
-        rec.fields.emplace_back(static_cast<std::int64_t>(r.u64()));
+        fields.emplace_back(static_cast<std::int64_t>(r.u64()));
         break;
       case FieldTag::u64:
-        rec.fields.emplace_back(r.u64());
+        fields.emplace_back(r.u64());
         break;
       case FieldTag::f64:
-        rec.fields.emplace_back(r.f64());
+        fields.emplace_back(r.f64());
         break;
       case FieldTag::str:
-        rec.fields.emplace_back(r.str());
+        fields.emplace_back(r.str());
         break;
       default:
         throw std::out_of_range("Record: unknown field tag");
     }
   }
-  return rec;
 }
 
 }  // namespace
@@ -116,7 +110,7 @@ std::vector<std::byte> serialize_batch(std::span<const Record> records) {
   return w.take();
 }
 
-std::vector<Record> deserialize_batch(std::span<const std::byte> payload) {
+void read_batch(std::span<const std::byte> payload, BatchVisitor& visitor) {
   common::ByteReader r(payload);
   const std::uint8_t raw_layout = r.u8();
   const bool has_traces = (raw_layout & kTraceTrailerFlag) != 0;
@@ -125,28 +119,52 @@ std::vector<Record> deserialize_batch(std::span<const std::byte> payload) {
       layout != BatchLayout::per_record_topic) {
     throw std::out_of_range("Record batch: unknown layout");
   }
-  std::string shared_topic;
   const bool uniform = layout == BatchLayout::uniform_topic;
-  if (uniform) shared_topic = r.str();
+  const std::string_view shared_topic =
+      uniform ? r.str_view() : std::string_view{};
   const std::size_t n =
       r.count(r.u32(), kMinRecordBytes + (uniform ? 0 : kMinTopicBytes));
-  std::vector<Record> out;
-  out.reserve(n);
+  visitor.begin(n);
   for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(read_record(r, uniform ? &shared_topic : nullptr));
+    const std::string_view topic = uniform ? shared_topic : r.str_view();
+    const std::uint64_t id = r.u64();
+    const common::Timestamp timestamp = r.u64();
+    const std::size_t fields = r.count(r.u16(), kMinFieldBytes);
+    read_fields(r, fields, visitor.record(topic, id, timestamp, fields));
   }
   if (has_traces) {
     const std::uint32_t traced = r.u32();
     for (std::uint32_t i = 0; i < traced; ++i) {
       const std::uint32_t index = r.u32();
       const std::uint64_t trace = r.u64();
-      if (index >= out.size()) {
+      if (index >= n) {
         throw std::out_of_range("Record batch: trace index out of range");
       }
-      out[index].trace = trace;
+      visitor.trace(index, trace);
     }
   }
-  return out;
+}
+
+std::vector<Record> deserialize_batch(std::span<const std::byte> payload) {
+  struct ToRecords final : BatchVisitor {
+    std::vector<Record> out;
+    void begin(std::size_t records) override { out.reserve(records); }
+    std::vector<FieldValue>& record(std::string_view topic, std::uint64_t id,
+                                    common::Timestamp timestamp,
+                                    std::size_t field_count) override {
+      Record& rec = out.emplace_back();
+      rec.topic = topic;
+      rec.id = id;
+      rec.timestamp = timestamp;
+      rec.fields.reserve(field_count);
+      return rec.fields;
+    }
+    void trace(std::size_t index, std::uint64_t trace) override {
+      out[index].trace = trace;
+    }
+  } records;
+  read_batch(payload, records);
+  return std::move(records.out);
 }
 
 }  // namespace netalytics::nf

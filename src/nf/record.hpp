@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -37,7 +38,32 @@ std::size_t serialized_size(const Record& r);
 /// Serialize a batch of records into one message payload.
 std::vector<std::byte> serialize_batch(std::span<const Record> records);
 
-/// Inverse of serialize_batch. Throws std::out_of_range on corrupt input.
+/// Receives a batch from read_batch record by record, so a consumer can
+/// decode straight into its own representation (the stream parsing bolt
+/// builds tuples) without an intermediate Record per entry.
+class BatchVisitor {
+ public:
+  virtual ~BatchVisitor() = default;
+  /// The batch holds `records` records (bounded by the payload size).
+  virtual void begin(std::size_t records) = 0;
+  /// One record header. `topic` is valid for this call only. Returns the
+  /// vector the record's `field_count` fields are appended to, in order,
+  /// before the next call.
+  virtual std::vector<FieldValue>& record(std::string_view topic, std::uint64_t id,
+                                          common::Timestamp timestamp,
+                                          std::size_t field_count) = 0;
+  /// A trace-trailer entry, after every record: record `index` (checked to
+  /// be in range) carries `trace`.
+  virtual void trace(std::size_t index, std::uint64_t trace) = 0;
+};
+
+/// Decode a serialize_batch payload into `visitor` — the one batch decoder.
+/// Throws std::out_of_range on corrupt input, possibly after the visitor
+/// has seen some records.
+void read_batch(std::span<const std::byte> payload, BatchVisitor& visitor);
+
+/// Inverse of serialize_batch (read_batch into Records). Throws
+/// std::out_of_range on corrupt input.
 std::vector<Record> deserialize_batch(std::span<const std::byte> payload);
 
 // Typed field access helpers; throw std::bad_variant_access on mismatch.

@@ -7,30 +7,46 @@
 
 namespace netalytics::stream {
 
+static_assert(std::is_same_v<Value, nf::FieldValue>,
+              "record fields decode in place as tuple values");
+
 namespace {
 
-Value from_field(const nf::FieldValue& f) {
-  return std::visit([](const auto& v) -> Value { return v; }, f);
-}
+/// Decodes a record batch into [id, ts, fields...] tuples.
+class TupleDecoder final : public nf::BatchVisitor {
+ public:
+  explicit TupleDecoder(std::vector<Tuple>& out) : out_(out) {}
+  void begin(std::size_t records) override { out_.reserve(records); }
+  std::vector<Value>& record(std::string_view, std::uint64_t id,
+                             common::Timestamp timestamp,
+                             std::size_t field_count) override {
+    auto& values = out_.emplace_back().values;
+    values.reserve(2 + field_count);
+    values.emplace_back(std::uint64_t{id});
+    values.emplace_back(std::uint64_t{timestamp});
+    return values;
+  }
+  void trace(std::size_t index, std::uint64_t trace) override {
+    out_[index].trace = trace;
+  }
+
+ private:
+  std::vector<Tuple>& out_;
+};
 
 }  // namespace
 
-void ParsingBolt::execute(const Tuple& input, Collector& out) {
-  // Input: [payload:string] — the serialized batch from an mq message.
-  const auto& payload = as_str(input.at(0));
-  const auto records = nf::deserialize_batch(common::as_bytes(payload));
-  for (const auto& rec : records) {
-    Tuple t;
-    t.trace = rec.trace;
-    t.values.reserve(2 + rec.fields.size());
-    t.values.emplace_back(std::uint64_t{rec.id});
-    t.values.emplace_back(std::uint64_t{rec.timestamp});
-    for (const auto& f : rec.fields) t.values.push_back(from_field(f));
-    out.emit(std::move(t));
-  }
+void ParsingBolt::execute(Tuple input, Collector& out) {
+  // Input: [payload:string] — the serialized batch from an mq message. The
+  // whole batch decodes before anything is emitted: trace ids trail the
+  // records, and a corrupt batch must emit nothing.
+  batch_.clear();
+  TupleDecoder decoder(batch_);
+  nf::read_batch(common::as_bytes(as_str(input.at(0))), decoder);
+  for (auto& t : batch_) out.emit(std::move(t));
 }
 
-void DiffBolt::execute(const Tuple& input, Collector& out) {
+void DiffBolt::execute(Tuple input, Collector& out) {
   const auto id = as_u64(input.at(config_.id_index));
   const auto& event = as_str(input.at(config_.event_index));
 
@@ -41,7 +57,7 @@ void DiffBolt::execute(const Tuple& input, Collector& out) {
       }
       pending_.clear();
     }
-    pending_.insert_or_assign(id, input);
+    pending_.insert_or_assign(id, std::move(input));
     return;
   }
   if (event != config_.end_token) return;
@@ -66,19 +82,18 @@ void DiffBolt::execute(const Tuple& input, Collector& out) {
   out.emit(std::move(result));
 }
 
-void JoinByIdBolt::execute(const Tuple& input, Collector& out) {
+void JoinByIdBolt::execute(Tuple input, Collector& out) {
   bool is_left;
-  Tuple stored = input;
   if (config_.by_tag) {
     is_left = as_str(input.values.back()) == config_.left_tag;
-    stored.values.pop_back();  // strip the marker
+    input.values.pop_back();  // strip the marker
   } else {
     is_left = input.size() == config_.left_arity;
   }
   auto& mine = is_left ? pending_left_ : pending_right_;
   const std::size_t id_index =
       is_left ? config_.left_id_index : config_.right_id_index;
-  const auto id = as_u64(stored.at(id_index));
+  const auto id = as_u64(input.at(id_index));
   if (mine.size() >= config_.max_pending) {  // shed load
     if (ledger_ != nullptr) {
       ledger_->add(common::DropCause::stream_window_eviction, mine.size());
@@ -87,7 +102,7 @@ void JoinByIdBolt::execute(const Tuple& input, Collector& out) {
   }
   // 1:1 join, first record per id wins (a flow's first HTTP request pairs
   // with its first timing event; later same-id records are dropped).
-  mine.try_emplace(id, std::move(stored));
+  mine.try_emplace(id, std::move(input));
   try_join(id, out);
 }
 
@@ -112,7 +127,7 @@ void JoinByIdBolt::try_join(std::uint64_t id, Collector& out) {
   out.emit(std::move(result));
 }
 
-void GroupAggBolt::execute(const Tuple& input, Collector&) {
+void GroupAggBolt::execute(Tuple input, Collector&) {
   std::string key;
   std::vector<Value> group_values;
   group_values.reserve(config_.group_indices.size());

@@ -145,8 +145,10 @@ void FreeRunningTopology::route(std::size_t src_component, Tuple tuple) {
         break;
       }
       case GroupingType::fields: {
-        const std::uint64_t h = hash_fields(tuple, edge.field_indices);
-        const std::size_t idx = h % dst.tasks.size();
+        const std::size_t idx =
+            dst.tasks.size() == 1
+                ? 0
+                : hash_fields(tuple, edge.field_indices) % dst.tasks.size();
         enqueue(edge.dst, idx, last_edge ? std::move(tuple) : tuple);
         break;
       }
@@ -212,18 +214,22 @@ std::size_t FreeRunningTopology::execute_chunk(std::size_t component,
       const common::Timestamp now = now_.load(std::memory_order_relaxed);
       recorder_->stamp(tuple->trace, common::TraceStage::execute, now, now);
     }
-    task.bolt->execute(*tuple, out);
-    if (node.executed != nullptr) node.executed->inc();
+    task.bolt->execute(std::move(*tuple), out);
     executed_total_.fetch_add(1, std::memory_order_relaxed);
     // Decrement only after execute() returned: the children this tuple
     // emitted are already counted, so in_flight_ never dips to zero while
-    // work is still reachable.
-    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    ++done;
+    // work is still reachable. The chunk's last tuple is released below,
+    // after the per-chunk counters, so a quiescent topology shows them
+    // complete.
+    if (done++ != 0) in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   }
   if (prof != nullptr) {
     prof->self_ns->inc(mono_ns() - t0);
     if (done != 0) prof->tuples->inc(done);
+  }
+  if (done != 0) {
+    if (node.executed != nullptr) node.executed->inc(done);
+    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   }
   return done;
 }

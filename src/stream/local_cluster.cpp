@@ -121,7 +121,7 @@ void LocalCluster::bolt_loop(Node& node, Task& task, std::size_t component_index
   while (true) {
     auto tuple = task.inbox->pop_for(std::chrono::milliseconds(5));
     if (tuple.has_value()) {
-      task.bolt->execute(*tuple, collector);
+      task.bolt->execute(std::move(*tuple), collector);
       executed_.fetch_add(1, std::memory_order_relaxed);
     } else if (node.stop.load(std::memory_order_acquire) &&
                task.inbox->size() == 0) {

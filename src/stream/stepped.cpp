@@ -103,8 +103,10 @@ void SteppedTopology::route(std::size_t src_component, Tuple tuple) {
         break;
       }
       case GroupingType::fields: {
-        const std::uint64_t h = hash_fields(tuple, edge.field_indices);
-        const std::size_t idx = h % dst.tasks.size();
+        const std::size_t idx =
+            dst.tasks.size() == 1
+                ? 0
+                : hash_fields(tuple, edge.field_indices) % dst.tasks.size();
         dst.tasks[idx].inbox.push_back(last_edge ? std::move(tuple) : tuple);
         break;
       }
@@ -133,19 +135,21 @@ void SteppedTopology::exec_task(Node& node, Task& task, StageKind kind,
   }
   OutboxCollector out(task.outbox);
   switch (kind) {
-    case StageKind::execute:
-      while (!task.inbox.empty()) {
-        Tuple tuple = std::move(task.inbox.front());
-        task.inbox.pop_front();
+    case StageKind::execute: {
+      const std::size_t n = task.inbox.size();
+      for (; !task.inbox.empty(); task.inbox.pop_front()) {
+        Tuple& tuple = task.inbox.front();
         if (recorder_ != nullptr && tuple.trace != 0) {
           recorder_->stamp(tuple.trace, common::TraceStage::execute, now, now);
         }
-        task.bolt->execute(tuple, out);
-        ++task.processed;
-        if (node.executed != nullptr) node.executed->inc();
-        if (prof != nullptr) prof->tuples->inc();
+        task.bolt->execute(std::move(tuple), out);
       }
+      // Counters move once per task stage, not once per tuple.
+      task.processed += n;
+      if (n != 0 && node.executed != nullptr) node.executed->inc(n);
+      if (n != 0 && prof != nullptr) prof->tuples->inc(n);
       break;
+    }
     case StageKind::tick:
       task.bolt->tick(now, out);
       break;

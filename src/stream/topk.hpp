@@ -26,17 +26,14 @@ class CountingBolt final : public Bolt {
   CountingBolt(std::size_t key_index, std::size_t slots)
       : key_index_(key_index), counter_(slots) {}
 
-  void execute(const Tuple& input, Collector&) override {
-    const std::string key = format_value(input.at(key_index_));
-    counter_.incr(key);
-    if (input.trace != 0) {
-      // Trace continuation: a windowed emission inherits the max sampled
-      // trace id among its contributors — max is commutative, so the
-      // choice is independent of tuple arrival interleaving.
-      auto& t = trace_of_[key];
-      t = std::max(t, input.trace);
+  void execute(Tuple input, Collector&) override {
+    // String keys are counted in place; other values are formatted first.
+    const Value& key = input.at(key_index_);
+    if (const auto* s = std::get_if<std::string>(&key)) {
+      count(*s, input.trace);
+    } else {
+      count(format_value(key), input.trace);
     }
-    report_window();
   }
   void tick(common::Timestamp, Collector& out) override {
     for (const auto& [key, count] : counter_.totals()) {
@@ -50,9 +47,8 @@ class CountingBolt final : public Bolt {
     if (after < before && ledger_ != nullptr) {
       ledger_->add(common::DropCause::stream_window_eviction, before - after);
     }
-    const auto live = counter_.totals();
     for (auto it = trace_of_.begin(); it != trace_of_.end();) {
-      it = live.count(it->first) != 0 ? std::next(it) : trace_of_.erase(it);
+      it = counter_.contains(it->first) ? std::next(it) : trace_of_.erase(it);
     }
     report_window();
   }
@@ -65,15 +61,30 @@ class CountingBolt final : public Bolt {
   void set_drop_ledger(common::DropLedger* ledger) noexcept { ledger_ = ledger; }
 
  private:
+  void count(std::string_view key, std::uint64_t trace) {
+    counter_.incr(key);
+    if (trace != 0) {
+      // Trace continuation: a windowed emission inherits the max sampled
+      // trace id among its contributors — max is commutative, so the
+      // choice is independent of tuple arrival interleaving.
+      auto it = trace_of_.find(key);
+      if (it == trace_of_.end()) it = trace_of_.emplace(key, 0).first;
+      it->second = std::max(it->second, trace);
+    }
+    report_window();
+  }
+
   void report_window() {
     const auto current = static_cast<std::int64_t>(counter_.key_count());
+    if (current == last_window_) return;
     if (window_gauge_ != nullptr) window_gauge_->add(current - last_window_);
     last_window_ = current;
   }
 
   std::size_t key_index_;
   RollingCounter counter_;
-  std::map<std::string, std::uint64_t> trace_of_;  // key -> max sampled trace
+  // key -> max sampled trace
+  std::map<std::string, std::uint64_t, std::less<>> trace_of_;
   common::Gauge* window_gauge_ = nullptr;
   common::DropLedger* ledger_ = nullptr;
   std::int64_t last_window_ = 0;
@@ -85,8 +96,8 @@ class IntermediateRankingsBolt final : public Bolt {
  public:
   explicit IntermediateRankingsBolt(std::size_t k) : rankings_(k) {}
 
-  void execute(const Tuple& input, Collector&) override {
-    const std::string key = as_str(input.at(0));
+  void execute(Tuple input, Collector&) override {
+    const std::string& key = as_str(input.at(0));
     rankings_.update(key, as_u64(input.at(1)));
     if (input.trace != 0) {
       auto& t = trace_of_[key];
@@ -123,8 +134,8 @@ class TotalRankingsBolt final : public Bolt {
  public:
   explicit TotalRankingsBolt(std::size_t k) : rankings_(k) {}
 
-  void execute(const Tuple& input, Collector&) override {
-    const std::string key = as_str(input.at(0));
+  void execute(Tuple input, Collector&) override {
+    const std::string& key = as_str(input.at(0));
     rankings_.update(key, as_u64(input.at(1)));
     if (input.trace != 0) {
       auto& t = trace_of_[key];
@@ -158,7 +169,7 @@ class TotalRankingsBolt final : public Bolt {
 class DatabaseBolt final : public Bolt {
  public:
   explicit DatabaseBolt(KvStore& store) : store_(store) {}
-  void execute(const Tuple& input, Collector& out) override;
+  void execute(Tuple input, Collector& out) override;
 
  private:
   KvStore& store_;
@@ -183,7 +194,7 @@ class UpdaterBolt final : public Bolt {
         on_scale_up_(std::move(on_scale_up)),
         on_scale_down_(std::move(on_scale_down)) {}
 
-  void execute(const Tuple& input, Collector&) override;
+  void execute(Tuple input, Collector&) override;
   void tick(common::Timestamp now, Collector&) override;
 
  private:

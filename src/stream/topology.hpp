@@ -40,7 +40,10 @@ class Bolt {
  public:
   virtual ~Bolt() = default;
   virtual void prepare() {}
-  virtual void execute(const Tuple& input, Collector& out) = 0;
+  /// The bolt owns `input` (a sink argument): executors move each inbox
+  /// tuple in, so a bolt that forwards or stores it moves instead of
+  /// copying. Callers holding an lvalue pass a copy.
+  virtual void execute(Tuple input, Collector& out) = 0;
   /// Periodic tick (rolling windows, ranking emission). Storm models this
   /// with tick tuples; here it is an explicit callback.
   virtual void tick(common::Timestamp /*now*/, Collector& /*out*/) {}

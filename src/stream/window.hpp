@@ -5,8 +5,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace netalytics::stream {
@@ -17,10 +20,13 @@ class RollingCounter {
  public:
   explicit RollingCounter(std::size_t slots);
 
-  void incr(const std::string& key, std::uint64_t by = 1);
+  void incr(std::string_view key, std::uint64_t by = 1);
 
-  /// Totals over the whole window.
+  /// Totals over the whole window, in key order.
   std::map<std::string, std::uint64_t> totals() const;
+
+  /// Whether `key` has a nonzero total over the window.
+  bool contains(std::string_view key) const;
 
   /// Advance to the next slot, zeroing what it previously held and dropping
   /// keys whose total became zero.
@@ -30,17 +36,30 @@ class RollingCounter {
   std::size_t key_count() const noexcept { return counts_.size(); }
 
  private:
+  /// Transparent so string_view lookups need no temporary string.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const noexcept {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+
   std::size_t slots_;
   std::size_t head_ = 0;
-  std::map<std::string, std::vector<std::uint64_t>> counts_;
+  std::unordered_map<std::string, std::vector<std::uint64_t>, KeyHash,
+                     std::equal_to<>>
+      counts_;
 };
 
-/// Top-k rankings by count, descending. update() is an upsert with the
-/// key's latest total (not an increment).
+/// Top-k rankings by count, descending, ties by key ascending. update() is
+/// an upsert with the key's latest total (not an increment).
 class Rankings {
  public:
   explicit Rankings(std::size_t k);
 
+  /// A key that is not ranked and would sort after the k-th entry of a
+  /// full ranking is rejected without touching the entries — the result of
+  /// inserting it and trimming back to k.
   void update(const std::string& key, std::uint64_t count);
   void merge(const Rankings& other);
 
@@ -54,8 +73,6 @@ class Rankings {
   std::size_t max_size() const noexcept { return k_; }
 
  private:
-  void sort_and_trim();
-
   std::size_t k_;
   std::vector<Entry> entries_;
 };

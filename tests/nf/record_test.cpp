@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "record_goldens.hpp"
+
 namespace netalytics::nf {
 namespace {
 
@@ -102,37 +104,21 @@ TEST(Record, DataReductionVersusRawPacket) {
   EXPECT_LT(serialized_size(r), 80u);
 }
 
-// Golden regressions: payloads that claim far more elements than their
-// bytes could hold must throw the documented out_of_range before any
-// allocation sized by the claimed count.
-std::vector<std::byte> bytes_of(std::initializer_list<unsigned> values) {
-  std::vector<std::byte> out;
-  for (const unsigned v : values) out.push_back(static_cast<std::byte>(v));
-  return out;
-}
-
+// Golden regressions (record_goldens.hpp): payloads that claim far more
+// elements than their bytes could hold must throw the documented
+// out_of_range before any allocation sized by the claimed count.
 TEST(Record, HugeRecordCountInUniformBatchThrows) {
-  // layout uniform(1) | topic "t" | count 2^32-1 | nothing else
-  const auto payload = bytes_of({0x01, 0x01, 0x00, 0x00, 0x00, 't',
-                                 0xff, 0xff, 0xff, 0xff});
-  EXPECT_THROW(deserialize_batch(payload), std::out_of_range);
+  EXPECT_THROW(deserialize_batch(goldens::huge_record_count_uniform()),
+               std::out_of_range);
 }
 
 TEST(Record, HugeRecordCountInPerRecordBatchThrows) {
-  // layout per-record(2) | count 2^32-1 | 30 stray bytes
-  auto payload = bytes_of({0x02, 0xff, 0xff, 0xff, 0xff});
-  payload.resize(payload.size() + 30);
-  EXPECT_THROW(deserialize_batch(payload), std::out_of_range);
+  EXPECT_THROW(deserialize_batch(goldens::huge_record_count_per_record()),
+               std::out_of_range);
 }
 
 TEST(Record, HugeFieldCountThrows) {
-  // layout uniform | topic "t" | count 1 | id 0 | ts 0 | 65535 fields | none
-  auto payload = bytes_of({0x01, 0x01, 0x00, 0x00, 0x00, 't',
-                           0x01, 0x00, 0x00, 0x00});
-  payload.resize(payload.size() + 16);  // id + timestamp
-  payload.push_back(std::byte{0xff});
-  payload.push_back(std::byte{0xff});
-  EXPECT_THROW(deserialize_batch(payload), std::out_of_range);
+  EXPECT_THROW(deserialize_batch(goldens::huge_field_count()), std::out_of_range);
 }
 
 TEST(Record, CountAtTheBoundStillDecodes) {

@@ -33,8 +33,9 @@ class NumberSpout : public stream::Spout {
   bool next_tuple(stream::Collector& out, common::Timestamp) override {
     if (left_ == 0) return false;
     --left_;
-    out.emit(stream::Tuple{{std::uint64_t(left_),
-                            std::string("k" + std::to_string(left_ % 3))}});
+    std::string key = "k";
+    key += std::to_string(left_ % 3);
+    out.emit(stream::Tuple{{std::uint64_t(left_), std::move(key)}});
     return true;
   }
 

@@ -10,7 +10,8 @@
 #   tests/run_ci.sh perfbench    # end-to-end benchmark self-test (perfbench/run.py)
 #
 # Lanes:
-#   tier1  cmake -B build-ci && ctest            (the acceptance gate)
+#   tier1  cmake -B build-ci && ctest            (the acceptance gate; built
+#          with NETALYTICS_WERROR=ON, so a new warning fails the lane)
 #   asan   NETALYTICS_SANITIZE=address, i.e. the `cmake --preset asan`
 #          configuration, full suite under ASan+UBSan-style checks
 #   tsan   delegates to tests/run_tsan.sh (`cmake --preset tsan` equivalent:
@@ -33,7 +34,8 @@ jobs=$(nproc 2>/dev/null || echo 4)
 run_tier1() {
   echo "== CI lane: tier-1 =="
   build_dir="$repo_root/build-ci"
-  cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DNETALYTICS_WERROR=ON
   cmake --build "$build_dir" -j "$jobs"
   ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 }

@@ -68,7 +68,7 @@ TEST(FlowMatch, InPortRestricts) {
 TEST(FlowMatch, L4FieldRequiresL4) {
   // A non-IP packet cannot match a rule with a dst_port.
   std::vector<std::byte> storage;
-  auto pkt = make_packet(sample_flow(), storage);
+  make_packet(sample_flow(), storage);  // fills storage with an IPv4 frame
   storage[12] = std::byte{0x86};
   storage[13] = std::byte{0xdd};
   const auto nonip = net::decode_packet(storage);

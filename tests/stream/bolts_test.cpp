@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../nf/record_goldens.hpp"
 #include "common/byte_io.hpp"
 #include "nf/record.hpp"
 #include "test_util.hpp"
@@ -31,6 +32,90 @@ TEST(ParsingBolt, DeserializesBatchIntoTuples) {
   EXPECT_EQ(as_str(out.tuples[0].at(2)), "request");
   EXPECT_EQ(as_str(out.tuples[0].at(3)), "/a");
   EXPECT_EQ(as_u64(out.tuples[1].at(0)), 22u);
+}
+
+/// The record path ParsingBolt used to take: deserialize into nf::Records,
+/// then convert each into [id, ts, fields...].
+std::vector<Tuple> tuples_via_records(std::span<const std::byte> payload) {
+  std::vector<Tuple> out;
+  for (const auto& rec : nf::deserialize_batch(payload)) {
+    Tuple t;
+    t.trace = rec.trace;
+    t.values.emplace_back(std::uint64_t{rec.id});
+    t.values.emplace_back(std::uint64_t{rec.timestamp});
+    for (const auto& f : rec.fields) t.values.push_back(f);
+    out.push_back(std::move(t));
+  }
+  return out;
+}
+
+/// Records of every field type and width; `uniform` keeps one topic (the
+/// hoisted layout), otherwise topics alternate (the per-record layout).
+/// `traced` samples every third record, the first and last included.
+std::vector<nf::Record> sample_batch(bool uniform, bool traced) {
+  std::vector<nf::Record> batch;
+  for (std::uint64_t i = 0; i < 7; ++i) {
+    nf::Record r;
+    r.topic = uniform || i % 2 == 0 ? "http_get" : "mysql_query";
+    r.id = 0x1000 + i;
+    r.timestamp = 500 * i;
+    for (std::uint64_t f = 0; f < i % 4; ++f) {
+      switch ((i + f) % 4) {
+        case 0: r.fields.emplace_back(-static_cast<std::int64_t>(i)); break;
+        case 1: r.fields.emplace_back(std::uint64_t{i * f}); break;
+        case 2: r.fields.emplace_back(0.25 * static_cast<double>(i)); break;
+        default: r.fields.emplace_back(std::string(i, 'x')); break;
+      }
+    }
+    if (traced && (i % 3 == 0 || i == 6)) r.trace = 0xabc0 + i;
+    batch.push_back(std::move(r));
+  }
+  return batch;
+}
+
+Tuple payload_tuple(std::span<const std::byte> payload) {
+  return Tuple{{std::string(common::as_string_view(payload))}};
+}
+
+TEST(ParsingBolt, EmitsExactlyTheRecordPathTuples) {
+  ParsingBolt bolt;  // one bolt across batches: its decode buffer is reused
+  for (const bool uniform : {true, false}) {
+    for (const bool traced : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "uniform=" << uniform << " traced=" << traced);
+      const auto payload = nf::serialize_batch(sample_batch(uniform, traced));
+      CaptureCollector out;
+      bolt.execute(payload_tuple(payload), out);
+      const auto expected = tuples_via_records(payload);
+      ASSERT_EQ(out.tuples.size(), 7u);
+      EXPECT_EQ(out.tuples, expected);  // values and Tuple::trace
+      EXPECT_EQ(out.tuples[0].trace != 0, traced);
+    }
+  }
+}
+
+TEST(ParsingBolt, CorruptBatchesThrowOutOfRangeAndEmitNothing) {
+  // The allocation bombs must be rejected before any allocation sized by
+  // their claimed counts (the ASan lane fails on an oversized request).
+  for (const auto& payload : nf::goldens::allocation_bombs()) {
+    ParsingBolt bolt;
+    CaptureCollector out;
+    EXPECT_THROW(bolt.execute(payload_tuple(payload), out), std::out_of_range);
+    EXPECT_TRUE(out.tuples.empty());
+  }
+  // Every strict prefix of a valid traced batch is corrupt.
+  const auto payload = nf::serialize_batch(sample_batch(false, true));
+  ParsingBolt bolt;
+  for (std::size_t n = 0; n < payload.size(); ++n) {
+    CaptureCollector out;
+    EXPECT_THROW(bolt.execute(payload_tuple(std::span(payload).first(n)), out),
+                 std::out_of_range)
+        << "prefix " << n;
+    EXPECT_TRUE(out.tuples.empty());
+  }
+  CaptureCollector out;  // and the bolt still decodes a whole batch after
+  bolt.execute(payload_tuple(payload), out);
+  EXPECT_EQ(out.tuples, tuples_via_records(payload));
 }
 
 TEST(FilterBolt, DropsFailingTuples) {

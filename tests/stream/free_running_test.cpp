@@ -31,7 +31,7 @@ std::vector<Tuple> number_tuples(int n) {
   std::vector<Tuple> out;
   for (int i = 0; i < n; ++i) {
     out.push_back(
-        Tuple{{std::uint64_t(i), std::string("k" + std::to_string(i % 5))}});
+        Tuple{{std::uint64_t(i), testing::key_of(i % 5)}});
   }
   return out;
 }
@@ -51,12 +51,13 @@ std::vector<std::string> sorted_renders(const std::vector<Tuple>& tuples) {
 /// fields -> all -> global with a stateful aggregation), parameterized by
 /// executor mode. `inbox_capacity` shrinks the free-running inboxes to
 /// force the help-on-full path.
-std::vector<Tuple> run_grouping_topology(ExecutorMode mode,
-                                         std::size_t workers,
-                                         std::size_t inbox_capacity = 4096) {
+TopologySpec grouping_spec(std::shared_ptr<std::vector<Tuple>> results,
+                           int tuples = 40) {
   TopologyBuilder b("groupings");
   b.set_spout("s",
-              [] { return std::make_unique<ListSpout>(number_tuples(40)); },
+              [tuples] {
+                return std::make_unique<ListSpout>(number_tuples(tuples));
+              },
               {"n", "k"});
   b.set_bolt("pass",
              [] {
@@ -78,7 +79,6 @@ std::vector<Tuple> run_grouping_topology(ExecutorMode mode,
   b.set_bolt("fanout", [] { return std::make_unique<TagBolt>("seen"); },
              {"k", "sum", "samples", "tag"}, 2)
       .all_grouping("agg");
-  auto results = std::make_shared<std::vector<Tuple>>();
   b.set_bolt("sink",
              [results] {
                return std::make_unique<SinkBolt>(
@@ -86,7 +86,14 @@ std::vector<Tuple> run_grouping_topology(ExecutorMode mode,
              },
              {})
       .global_grouping("fanout");
-  auto topo = make_executor(b.build(),
+  return b.build();
+}
+
+std::vector<Tuple> run_grouping_topology(ExecutorMode mode,
+                                         std::size_t workers,
+                                         std::size_t inbox_capacity = 4096) {
+  auto results = std::make_shared<std::vector<Tuple>>();
+  auto topo = make_executor(grouping_spec(results),
                             ExecutorConfig{.workers = workers,
                                            .mode = mode,
                                            .inbox_capacity = inbox_capacity});
@@ -158,7 +165,7 @@ class KeyOrderProbeBolt final : public Bolt {
   explicit KeyOrderProbeBolt(std::shared_ptr<std::atomic<std::uint64_t>> v)
       : violations_(std::move(v)) {}
 
-  void execute(const Tuple& input, Collector& out) override {
+  void execute(Tuple input, Collector& out) override {
     const std::uint64_t seq = as_u64(input.at(0));
     const std::string& key = as_str(input.at(1));
     auto [it, inserted] = last_seq_.try_emplace(key, seq);
@@ -166,7 +173,7 @@ class KeyOrderProbeBolt final : public Bolt {
       if (seq <= it->second) violations_->fetch_add(1);
       it->second = seq;
     }
-    out.emit(input);
+    out.emit(std::move(input));
   }
 
  private:
@@ -184,7 +191,7 @@ TEST(FreeRunning, PerKeyOrderHoldsThroughFieldsAndGlobalGroupings) {
   std::vector<Tuple> input;
   for (int i = 0; i < 400; ++i) {
     input.push_back(Tuple{{std::uint64_t(i),
-                           std::string("k" + std::to_string(i % 8))}});
+                           testing::key_of(i % 8)}});
   }
   auto violations = std::make_shared<std::atomic<std::uint64_t>>(0);
   std::size_t delivered = 0;
@@ -229,13 +236,13 @@ class WindowProbeBolt final : public Bolt {
  public:
   explicit WindowProbeBolt(std::string tag) : tag_(std::move(tag)) {}
 
-  void execute(const Tuple& input, Collector& out) override {
+  void execute(Tuple input, Collector& out) override {
     if (std::holds_alternative<std::string>(input.at(0))) {
       ++markers_;
     } else {
       ++regular_;
     }
-    out.emit(input);
+    out.emit(std::move(input));
   }
   void tick(common::Timestamp /*now*/, Collector& out) override {
     out.emit(Tuple{{tag_, regular_, markers_}});
@@ -315,6 +322,55 @@ TEST(FreeRunning, CloseFlushesUpstreamCleanupsThroughDownstreamWindows) {
   // B's final windows, and nothing else arrived between tick and close.
   EXPECT_EQ(as_u64(b_final[0].at(2)) + as_u64(b_final[1].at(2)), 3u);
   EXPECT_EQ(as_u64(b_final[0].at(1)) + as_u64(b_final[1].at(1)), 0u);
+}
+
+TEST(FreeRunning, ExecutedCountersSumToTuplesExecuted) {
+  // The per-component executed counters and the profiler's per-task tuple
+  // counters are bumped once per task stage or chunk, not per tuple; at
+  // every step/tick/close boundary they must still add up exactly.
+  const struct {
+    ExecutorMode mode;
+    std::size_t workers;
+  } configs[] = {{ExecutorMode::stepped, 1},
+                 {ExecutorMode::stepped, 4},
+                 {ExecutorMode::free_running, 1},
+                 {ExecutorMode::free_running, 4}};
+  for (const auto& c : configs) {
+    SCOPED_TRACE(::testing::Message()
+                 << to_string(c.mode) << " workers=" << c.workers);
+    auto results = std::make_shared<std::vector<Tuple>>();
+    const TopologySpec spec = grouping_spec(results, 3000);
+    common::MetricsRegistry registry;  // outlives the executor's workers
+    auto topo = make_executor(spec, ExecutorConfig{.workers = c.workers,
+                                                   .mode = c.mode,
+                                                   .inbox_capacity = 64,
+                                                   .profile = true});
+    topo->bind_metrics(registry, "x");
+    const auto check = [&](const char* when) {
+      std::uint64_t executed = 0;
+      std::uint64_t profiled = 0;
+      for (const auto& comp : spec.components) {
+        executed += registry.counter("x." + comp.name + ".executed").value();
+        for (std::size_t k = 0; k < comp.parallelism; ++k) {
+          profiled += registry
+                          .counter("x.profiler." + comp.name + ".t" +
+                                   std::to_string(k) + ".tuples")
+                          .value();
+        }
+      }
+      EXPECT_EQ(executed, topo->tuples_executed()) << when;
+      if (profiler_available()) {
+        EXPECT_EQ(profiled, topo->tuples_executed()) << when;
+      }
+    };
+    while (topo->step(0, 64) != 0) check("step");
+    check("idle");
+    topo->tick(common::kSecond);
+    check("tick");
+    topo->close(2 * common::kSecond);
+    check("close");
+    EXPECT_GT(topo->tuples_executed(), 3000u);
+  }
 }
 
 TEST(FreeRunning, TuplesExecutedMatchesSteppedTotal) {

@@ -15,7 +15,7 @@ using testing::ListSpout;
 std::vector<Tuple> number_tuples(int n) {
   std::vector<Tuple> out;
   for (int i = 0; i < n; ++i) {
-    out.push_back(Tuple{{std::uint64_t(i), std::string("k" + std::to_string(i % 5))}});
+    out.push_back(Tuple{{std::uint64_t(i), testing::key_of(i % 5)}});
   }
   return out;
 }

@@ -16,7 +16,7 @@ using testing::ListSpout;
 std::vector<Tuple> number_tuples(int n) {
   std::vector<Tuple> out;
   for (int i = 0; i < n; ++i) {
-    out.push_back(Tuple{{std::uint64_t(i), std::string("k" + std::to_string(i % 3))}});
+    out.push_back(Tuple{{std::uint64_t(i), testing::key_of(i % 3)}});
   }
   return out;
 }
@@ -37,9 +37,9 @@ class TaskTagBolt final : public Bolt {
     std::lock_guard lock(mutex);
     tag_ = next_tag++;
   }
-  void execute(const Tuple& input, Collector&) override {
+  void execute(Tuple input, Collector&) override {
     std::lock_guard lock(mutex);
-    seen[tag_].push_back(input);
+    seen[tag_].push_back(std::move(input));
   }
 
  private:

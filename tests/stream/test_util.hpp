@@ -1,11 +1,20 @@
 // Shared helpers for stream-engine tests.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "stream/topology.hpp"
 
 namespace netalytics::stream::testing {
+
+/// Key "k<n>". Built by append: GCC 12 at -O3 reports a false-positive
+/// -Wrestrict for `"k" + std::to_string(n)`.
+inline std::string key_of(int n) {
+  std::string key = "k";
+  key += std::to_string(n);
+  return key;
+}
 
 /// Collects emissions for direct bolt unit tests.
 class CaptureCollector final : public Collector {
