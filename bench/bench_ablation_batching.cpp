@@ -1,7 +1,7 @@
 // Ablation — batching at the output interface (§5.1): tuples are shipped
 // in batches "to lower the overhead of queue manipulation operations and
 // when preparing data tuples to be sent to the aggregators". Sweeps the
-// batch size through the serialize+send path.
+// batch size through the encode+send path.
 #include <benchmark/benchmark.h>
 
 #include "mq/producer.hpp"
@@ -28,9 +28,13 @@ void BM_OutputBatchSize(benchmark::State& state) {
       [&producer](std::string_view topic, std::vector<std::byte> payload,
                   const nf::BatchInfo&) { producer.send(topic, std::move(payload), 0); },
       batch);
+  // What the http_get parser emits: a stack-built view, encoded at emit.
+  const nf::FieldView fields[] = {std::string_view("request"),
+                                  std::string_view("/videos/item-1234.mp4")};
   std::uint64_t id = 0;
   for (auto _ : state) {
-    out.emit(sample_record(id++));
+    out.emit({"http_get", id, id, fields});
+    ++id;
   }
   out.flush();
   state.SetItemsProcessed(state.iterations());

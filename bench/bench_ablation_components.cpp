@@ -6,8 +6,11 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
+#include "common/trace.hpp"
 #include "core/emulation.hpp"
+#include "nf/monitor.hpp"
 #include "nf/parser.hpp"
 #include "nf/sampler.hpp"
 #include "parsers/parsers.hpp"
@@ -20,7 +23,7 @@ using namespace netalytics;
 namespace {
 
 struct NullSink final : nf::RecordSink {
-  void emit(nf::Record) override {}
+  void emit(const nf::RecordView&) override {}
 };
 
 void BM_DecodePacket(benchmark::State& state) {
@@ -62,6 +65,55 @@ BENCHMARK_CAPTURE(BM_Parser, memcached_get, "memcached_get",
                   pktgen::TrafficKind::memcached_get);
 BENCHMARK_CAPTURE(BM_Parser, mysql_query, "mysql_query",
                   pktgen::TrafficKind::mysql_query);
+
+// The monitor's inline entry as the engine configures it (bound registry,
+// stage tracer, drop ledger, trace recorder with tracing off, 32-record
+// output batches): sample -> http_get parse -> encode into the open batch ->
+// ship. Frames are 256-B GETs over 1,000 Zipf URLs, decoded up front, so
+// this is Monitor::process(const DecodedPacket&) alone.
+void BM_MonitorProcess(benchmark::State& state) {
+  parsers::register_builtin_parsers();
+  common::MetricsRegistry registry;
+  common::StageTracer tracer(registry, "q1");
+  common::DropLedger ledger(registry, "q1.drop");
+  common::TraceRecorder recorder(common::TraceRecorder::Config{.sample_denominator = 0});
+  nf::MonitorConfig cfg;
+  cfg.parsers.push_back({"http_get", 1});
+  cfg.output_batch_records = 32;
+  cfg.metrics = &registry;
+  cfg.metrics_prefix = "q1.mon0";
+  cfg.tracer = &tracer;
+  cfg.trace_recorder = &recorder;
+  cfg.drop_ledger = &ledger;
+  std::uint64_t shipped = 0;
+  nf::Monitor monitor(cfg, [&shipped](std::string_view, std::vector<std::byte> payload,
+                                      const nf::BatchInfo&) {
+    shipped += payload.size();
+  });
+
+  pktgen::GeneratorConfig gen_cfg;
+  gen_cfg.kind = pktgen::TrafficKind::http_get;
+  gen_cfg.frame_size = 256;
+  gen_cfg.url_count = 1000;
+  pktgen::TrafficGenerator gen(gen_cfg);
+  std::vector<net::DecodedPacket> packets;
+  for (std::size_t i = 0; i < 4096; ++i) {
+    packets.push_back(*net::decode_packet(gen.next_frame()));
+  }
+  common::Timestamp now = common::kSecond;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    net::DecodedPacket& pkt = packets[i];
+    pkt.timestamp = now;
+    monitor.process(pkt);
+    now += 1000;
+    i = (i + 1) % packets.size();
+  }
+  monitor.close(now);
+  benchmark::DoNotOptimize(shipped);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MonitorProcess);
 
 void BM_FlowSampler(benchmark::State& state) {
   nf::FlowSampler sampler(0.5);

@@ -1,6 +1,7 @@
 #include "common/metrics.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 namespace netalytics::common {
@@ -26,6 +27,34 @@ void HistogramMetric::observe(std::uint64_t sample) noexcept {
   sum_.fetch_add(sample, std::memory_order_relaxed);
 #else
   (void)sample;
+#endif
+}
+
+void HistogramMetric::observe_all(std::span<const std::uint64_t> samples) noexcept {
+#ifndef NETALYTICS_NO_METRICS
+  if (samples.empty()) return;
+  const auto index = [this](std::uint64_t sample) {
+    return static_cast<std::size_t>(
+        std::lower_bound(bounds_.begin(), bounds_.end(), sample) - bounds_.begin());
+  };
+  std::size_t run_bucket = index(samples[0]);
+  std::uint64_t run = 0;
+  std::uint64_t sum = 0;
+  for (const std::uint64_t sample : samples) {
+    const std::size_t idx = index(sample);
+    if (idx != run_bucket) {
+      buckets_[run_bucket].fetch_add(run, std::memory_order_relaxed);
+      run_bucket = idx;
+      run = 0;
+    }
+    ++run;
+    sum += sample;
+  }
+  buckets_[run_bucket].fetch_add(run, std::memory_order_relaxed);
+  count_.fetch_add(samples.size(), std::memory_order_relaxed);
+  sum_.fetch_add(sum, std::memory_order_relaxed);
+#else
+  (void)samples;
 #endif
 }
 
@@ -201,6 +230,25 @@ void StageTracer::stamp(Stage s, Timestamp event_time,
     return;
   }
   stages_[static_cast<std::size_t>(s)]->observe(event_time - origin_time);
+}
+
+void StageTracer::stamp_batch(Stage s, Timestamp event_time,
+                              std::span<const Timestamp> origins) noexcept {
+  HistogramMetric& h = histogram(s);
+  std::array<std::uint64_t, 64> samples;  // bounded stack chunk
+  std::size_t n = 0;
+  for (const Timestamp origin : origins) {
+    if (origin == 0 || event_time < origin) {
+      dropped_->inc();
+      continue;
+    }
+    samples[n++] = event_time - origin;
+    if (n == samples.size()) {
+      h.observe_all(samples);
+      n = 0;
+    }
+  }
+  h.observe_all({samples.data(), n});
 }
 
 }  // namespace netalytics::common

@@ -399,6 +399,8 @@ void NetAlytics::build_processors(QueryHandle& q) {
     // End-to-end latency needs the result tuple to still carry the packet's
     // ingress timestamp; only identity preserves the record schema
     // ([id, ts:u64, ...]), so the e2e stage is stamped on its sink alone.
+    // The sink collects the origins; flush_e2e() stamps them at now_ in one
+    // batch before the pump returns.
     const bool stamp_e2e = call.name == "identity";
     // Windowed emissions (rankings, group aggregates) are per-tick values
     // worth a history; per-event shapes (identity, join, diffs) are not —
@@ -408,9 +410,8 @@ void NetAlytics::build_processors(QueryHandle& q) {
         (call.name == "top-k" || call.name.rfind("group-", 0) == 0);
     const std::string result_prefix =
         q.metrics_prefix_ + ".result.proc" + std::to_string(i) + ".";
-    common::StageTracer* tracer = q.tracer_.get();
     common::TraceRecorder* recorder = q.recorder_.get();
-    ctx.result_sink = [this, qp, tracer, recorder, stamp_e2e, capture_results,
+    ctx.result_sink = [this, qp, recorder, stamp_e2e, capture_results,
                        result_prefix](const stream::Tuple& t) {
       qp->results_.push_back(t);
       const bool has_ts =
@@ -424,10 +425,7 @@ void NetAlytics::build_processors(QueryHandle& q) {
                         stamp_e2e && has_ts ? stream::as_u64(t.at(1)) : now_,
                         now_);
       }
-      if (stamp_e2e && has_ts) {
-        tracer->stamp(common::StageTracer::Stage::e2e, now_,
-                      stream::as_u64(t.at(1)));
-      }
+      if (stamp_e2e && has_ts) qp->e2e_origins_.push_back(stream::as_u64(t.at(1)));
       if (capture_results) {
         if (auto kv = result_series(t)) {
           store_.ingest(result_prefix + kv->first, tsdb::SeriesKind::gauge,
@@ -465,6 +463,11 @@ void NetAlytics::apply_feedback(QueryHandle& q, double occupancy) {
   } else if (occupancy <= config_.feedback_low_occupancy) {
     for (auto* m : q.monitors) m->set_sample_rate(std::min(1.0, m->sample_rate() + 0.05));
   }
+}
+
+void NetAlytics::flush_e2e(QueryHandle& q) {
+  q.tracer_->stamp_batch(common::StageTracer::Stage::e2e, now_, q.e2e_origins_);
+  q.e2e_origins_.clear();
 }
 
 void NetAlytics::pump(common::Timestamp now) {
@@ -509,6 +512,7 @@ void NetAlytics::pump(common::Timestamp now) {
     const bool packets_up = q.plan_.packet_limit != 0 &&
                             q.monitor_stats().parsed >= q.plan_.packet_limit;
     if (time_up || packets_up) stop_query(q, now);
+    flush_e2e(q);
   }
 
   // One registry snapshot per tick interval feeds both the tiered store
@@ -579,6 +583,7 @@ void NetAlytics::stop_query(QueryHandle& q, common::Timestamp now) {
     topo->run_until_idle(now);
     topo->close(now);
   }
+  flush_e2e(q);
   // The counters stay readable after undeploy (they live in metrics_);
   // only the live sample rate must be captured before the monitors go.
   q.final_sample_rate_ = q.sample_rate();

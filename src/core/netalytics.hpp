@@ -251,6 +251,9 @@ class QueryHandle {
   std::vector<std::pair<sdn::SwitchId, std::uint64_t>> rule_cookies;
   std::vector<std::unique_ptr<stream::TopologyExecutor>> topologies;
   std::vector<stream::Tuple> results_;
+  /// Ingress timestamps of record-schema results delivered since the last
+  /// e2e stamp; stamped in one batch before pump()/stop_query() return.
+  std::vector<common::Timestamp> e2e_origins_;
   double final_sample_rate_ = 1.0;
 
   common::MetricsRegistry* registry_ = nullptr;  // the engine's registry
@@ -380,6 +383,8 @@ class NetAlytics {
   void build_processors(QueryHandle& q);
   /// `occupancy` is the pre-drain aggregation-buffer pressure.
   void apply_feedback(QueryHandle& q, double occupancy);
+  /// Stamp the e2e stage for the results delivered since the last call.
+  void flush_e2e(QueryHandle& q);
 
   Emulation& emu_;
   EngineConfig config_;

@@ -4,12 +4,15 @@
 // ("NetAlytics further reduces the overhead of transmitting data tuples by
 // aggregating tuples produced by all parsers and having the monitor send
 // them in batches", §3.1).
+//
+// Records are encoded once, at emit: each topic's open batch is a
+// BatchEncoder that appends the record body straight into the bytes that
+// ship, so no owned Record is built and nothing is serialized twice.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <span>
 #include <string>
 #include <string_view>
@@ -52,7 +55,7 @@ class OutputInterface final : public RecordSink {
  public:
   OutputInterface(BatchSink sink, std::size_t batch_records = 64);
 
-  void emit(Record record) override;
+  void emit(const RecordView& record) override;
 
   /// Ship all partially-filled batches. `now` (virtual time) stamps the
   /// emit-stage latency of the shipped records; 0 means "time unknown"
@@ -99,8 +102,14 @@ class OutputInterface final : public RecordSink {
   }
 
  private:
-  void ship(std::string_view topic, std::vector<Record>& batch,
-            common::Timestamp ship_time);
+  struct OpenBatch {
+    std::string topic;
+    BatchEncoder records;
+    std::vector<common::Timestamp> timestamps;  // per record: emit stamps
+  };
+
+  OpenBatch& open_batch(std::string_view topic);
+  void ship(OpenBatch& batch, common::Timestamp ship_time);
 
   BatchSink sink_;
   common::StageTracer* tracer_ = nullptr;
@@ -111,7 +120,7 @@ class OutputInterface final : public RecordSink {
   common::Counter* bytes_ctr_ = nullptr;
   common::Counter* batches_ctr_ = nullptr;
   std::size_t batch_records_;
-  std::map<std::string, std::vector<Record>, std::less<>> pending_;
+  std::vector<OpenBatch> pending_;  // sorted by topic: flush() ships in order
   std::atomic<std::uint64_t> records_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> bytes_{0};

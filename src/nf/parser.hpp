@@ -2,6 +2,13 @@
 // their own parsers with a simple interface: they define a packet handler
 // function called when each packet arrives and make use of the monitoring
 // library's output functions to emit the desired information."
+//
+// The output function is RecordSink::emit(const RecordView&). A view
+// borrows everything it names — topic, field list, string fields — from the
+// packet or the parser's own state, for the duration of the emit call only:
+// build it on the stack, emit it, and the sink copies what it keeps (the
+// output interface encodes it into the open batch right away). State a view
+// points into may be changed or erased once emit returns.
 #pragma once
 
 #include <functional>
@@ -17,11 +24,11 @@
 namespace netalytics::nf {
 
 /// Where a parser's records go. Implementations batch (OutputInterface) or
-/// collect directly (tests).
+/// collect directly (tests). `record` is valid for the call only.
 class RecordSink {
  public:
   virtual ~RecordSink() = default;
-  virtual void emit(Record record) = 0;
+  virtual void emit(const RecordView& record) = 0;
 };
 
 /// A protocol parser. One instance runs per worker thread; flow-id dispatch
@@ -63,10 +70,13 @@ class ParserRegistry {
   std::vector<std::pair<std::string, ParserFactory>> entries_;
 };
 
-/// Collects records into a vector; used by tests and inline pipelines.
+/// Collects owned copies of records into a vector; used by tests and inline
+/// pipelines.
 class VectorSink final : public RecordSink {
  public:
-  void emit(Record record) override { records.push_back(std::move(record)); }
+  void emit(const RecordView& record) override {
+    records.push_back(to_record(record));
+  }
   std::vector<Record> records;
 };
 

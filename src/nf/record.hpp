@@ -4,12 +4,18 @@
 // same flow. Records are batched and serialized before leaving the monitor,
 // which is where the paper's ~10:1 data reduction versus raw packets comes
 // from.
+//
+// Two forms: parsers emit a borrowed RecordView, which the output interface
+// encodes once, at emit, straight into the open batch (BatchEncoder — the
+// format's one writer). Record is the owned, decoded form a batch reads back
+// into (deserialize_batch, the federation wire, VectorSink).
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -18,6 +24,8 @@
 namespace netalytics::nf {
 
 using FieldValue = std::variant<std::int64_t, std::uint64_t, double, std::string>;
+/// A field as a parser emits it: strings borrow their bytes.
+using FieldView = std::variant<std::int64_t, std::uint64_t, double, std::string_view>;
 
 struct Record {
   std::string topic;  // parser name; selects the aggregation buffer (§3.2)
@@ -32,10 +40,64 @@ struct Record {
   bool operator==(const Record&) const = default;
 };
 
+/// A record whose topic, string fields and field list are borrowed — valid
+/// for the emit call that receives it (see RecordSink in nf/parser.hpp).
+struct RecordView {
+  std::string_view topic;
+  std::uint64_t id = 0;
+  common::Timestamp timestamp = 0;
+  std::span<const FieldView> fields;
+  std::uint64_t trace = 0;  // as Record::trace
+};
+
+/// Borrow an owned field.
+FieldView view_of(const FieldValue& v) noexcept;
+/// Copy a borrowed record into an owned one.
+Record to_record(const RecordView& v);
+
 /// Serialized size of one record (for data-reduction accounting).
 std::size_t serialized_size(const Record& r);
 
-/// Serialize a batch of records into one message payload.
+/// Builds one batch payload incrementally — the format's one writer. Each
+/// add() encodes a record's body straight into the staging buffer, after the
+/// batch header (layout byte, hoisted topic for uniform batches, record-count
+/// placeholder); encode() finishes a copy. serialize_batch and the output
+/// interface both build their payloads here.
+class BatchEncoder {
+ public:
+  using TraceEntry = std::pair<std::uint32_t, std::uint64_t>;  // index, trace
+
+  /// A uniform batch: every record carries `topic`, written once.
+  explicit BatchEncoder(std::string_view topic);
+  /// A per-record-topic batch.
+  BatchEncoder();
+
+  /// Append one record. A uniform batch ignores r.topic.
+  void add(const RecordView& r);
+
+  std::size_t size() const noexcept { return records_; }
+  bool empty() const noexcept { return records_ == 0; }
+  /// The traced records added so far, in order.
+  std::span<const TraceEntry> traces() const noexcept { return traces_; }
+
+  /// The finished payload in an exactly-sized buffer: record count patched
+  /// in, trace trailer appended when any record is traced. The staging
+  /// buffer is left as it was.
+  std::vector<std::byte> encode() const;
+
+  /// Empty the batch for reuse; the staging buffer keeps its capacity.
+  void clear() noexcept;
+
+ private:
+  std::vector<std::byte> bytes_;  // header + record bodies
+  std::size_t header_size_ = 0;
+  bool uniform_ = false;
+  std::uint32_t records_ = 0;
+  std::vector<TraceEntry> traces_;
+};
+
+/// Serialize a batch of records into one message payload (a BatchEncoder
+/// fed every record; uniform layout when all share one topic).
 std::vector<std::byte> serialize_batch(std::span<const Record> records);
 
 /// Receives a batch from read_batch record by record, so a consumer can

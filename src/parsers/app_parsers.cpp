@@ -15,9 +15,10 @@ namespace netalytics::parsers {
 
 namespace {
 
+using nf::FieldView;
 using nf::PacketParser;
-using nf::Record;
 using nf::RecordSink;
+using namespace std::string_view_literals;
 
 /// Extracts the URL of HTTP GET requests and the status of responses.
 class HttpGetParser final : public PacketParser {
@@ -32,25 +33,16 @@ class HttpGetParser final : public PacketParser {
       const auto space = rest.find(' ');
       if (space == std::string_view::npos || !rest.substr(space).starts_with(" HTTP/"))
         return;
-      emit(sink, pkt, {std::string("request"), std::string(rest.substr(0, space))});
+      const FieldView fields[] = {"request"sv, rest.substr(0, space)};
+      sink.emit({kHttpGet, pkt.bidirectional_flow_hash, pkt.timestamp, fields});
     } else if (payload.starts_with("HTTP/1.")) {
       // "HTTP/1.x NNN ..."
       if (payload.size() < 12) return;
       std::uint64_t status = 0;
       if (!common::parse_u64(payload.substr(9, 3), status)) return;
-      emit(sink, pkt, {std::string("response"), status});
+      const FieldView fields[] = {"response"sv, status};
+      sink.emit({kHttpGet, pkt.bidirectional_flow_hash, pkt.timestamp, fields});
     }
-  }
-
- private:
-  void emit(RecordSink& sink, const net::DecodedPacket& pkt,
-            std::vector<nf::FieldValue> fields) {
-    Record r;
-    r.topic = std::string(kHttpGet);
-    r.id = pkt.bidirectional_flow_hash;
-    r.timestamp = pkt.timestamp;
-    r.fields = std::move(fields);
-    sink.emit(std::move(r));
   }
 };
 
@@ -65,12 +57,8 @@ class MemcachedGetParser final : public PacketParser {
     if (!payload.starts_with("get ")) return;
     const auto end = payload.find("\r\n", 4);
     if (end == std::string_view::npos) return;
-    Record r;
-    r.topic = std::string(kMemcachedGet);
-    r.id = pkt.bidirectional_flow_hash;
-    r.timestamp = pkt.timestamp;
-    r.fields = {std::string(payload.substr(4, end - 4))};
-    sink.emit(std::move(r));
+    const FieldView fields[] = {payload.substr(4, end - 4)};
+    sink.emit({kMemcachedGet, pkt.bidirectional_flow_hash, pkt.timestamp, fields});
   }
 };
 
@@ -98,14 +86,10 @@ class MysqlQueryParser final : public PacketParser {
     } else if (pkt.five_tuple.src_port == 3306) {
       Pending* p = pending_.find(id);
       if (p == nullptr) return;  // response without an observed query
-      Record r;
-      r.topic = std::string(kMysqlQuery);
-      r.id = id;
-      r.timestamp = pkt.timestamp;
-      r.fields = {std::move(p->statement),
-                  std::uint64_t{pkt.timestamp - p->query_time}};
-      sink.emit(std::move(r));
-      pending_.erase(id);
+      const FieldView fields[] = {std::string_view(p->statement),
+                                  std::uint64_t{pkt.timestamp - p->query_time}};
+      sink.emit({kMysqlQuery, id, pkt.timestamp, fields});
+      pending_.erase(id);  // after emit: the view borrowed the statement
     }
   }
 

@@ -10,8 +10,8 @@ namespace netalytics::parsers {
 
 namespace {
 
+using nf::FieldView;
 using nf::PacketParser;
-using nf::Record;
 using nf::RecordSink;
 
 /// Emits the 4-tuple once per (directional) flow.
@@ -23,15 +23,11 @@ class TcpFlowKeyParser final : public PacketParser {
     if (!pkt.has_tcp) return;
     if (seen_.find(pkt.flow_hash) != nullptr) return;
     seen_.put(pkt.flow_hash, true);
-    Record r;
-    r.topic = std::string(kTcpFlowKey);
-    r.id = pkt.flow_hash;
-    r.timestamp = pkt.timestamp;
-    r.fields = {std::uint64_t{pkt.five_tuple.src_ip},
-                std::uint64_t{pkt.five_tuple.dst_ip},
-                std::uint64_t{pkt.five_tuple.src_port},
-                std::uint64_t{pkt.five_tuple.dst_port}};
-    sink.emit(std::move(r));
+    const FieldView fields[] = {std::uint64_t{pkt.five_tuple.src_ip},
+                                std::uint64_t{pkt.five_tuple.dst_ip},
+                                std::uint64_t{pkt.five_tuple.src_port},
+                                std::uint64_t{pkt.five_tuple.dst_port}};
+    sink.emit({kTcpFlowKey, pkt.flow_hash, pkt.timestamp, fields});
   }
 
  private:
@@ -69,15 +65,12 @@ class TcpConnTimeParser final : public PacketParser {
   }
 
  private:
-  void emit_event(RecordSink& sink, std::uint64_t id, common::Timestamp ts,
-                  const net::FiveTuple& t, const char* event) {
-    Record r;
-    r.topic = std::string(kTcpConnTime);
-    r.id = id;
-    r.timestamp = ts;
-    r.fields = {std::string(event), std::uint64_t{t.src_ip}, std::uint64_t{t.dst_ip},
-                std::uint64_t{t.src_port}, std::uint64_t{t.dst_port}};
-    sink.emit(std::move(r));
+  static void emit_event(RecordSink& sink, std::uint64_t id, common::Timestamp ts,
+                         const net::FiveTuple& t, std::string_view event) {
+    const FieldView fields[] = {event, std::uint64_t{t.src_ip},
+                                std::uint64_t{t.dst_ip}, std::uint64_t{t.src_port},
+                                std::uint64_t{t.dst_port}};
+    sink.emit({kTcpConnTime, id, ts, fields});
   }
 
   FlowStateMap<net::FiveTuple> open_;
@@ -125,13 +118,10 @@ class TcpPktSizeParser final : public PacketParser {
 
   void flush_one(RecordSink& sink, std::uint64_t id, const Counter& c,
                  common::Timestamp ts) {
-    Record r;
-    r.topic = std::string(kTcpPktSize);
-    r.id = id;
-    r.timestamp = ts;
-    r.fields = {std::uint64_t{c.flow.src_ip}, std::uint64_t{c.flow.dst_ip},
-                std::uint64_t{c.flow.dst_port}, c.bytes, c.packets};
-    sink.emit(std::move(r));
+    const FieldView fields[] = {std::uint64_t{c.flow.src_ip},
+                                std::uint64_t{c.flow.dst_ip},
+                                std::uint64_t{c.flow.dst_port}, c.bytes, c.packets};
+    sink.emit({kTcpPktSize, id, ts, fields});
   }
 
   FlowStateMap<Counter> counters_;

@@ -3,7 +3,11 @@
 // rendering, and StageTracer stamp/drop rules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/metrics.hpp"
+#include "common/rng.hpp"
 
 namespace netalytics::common {
 namespace {
@@ -145,6 +149,54 @@ TEST(StageTracerTest, UnknownOriginAndBackwardsStampsAreDroppedAndCounted) {
   EXPECT_EQ(tracer.dropped_stamps(), 2u);
   EXPECT_EQ(tracer.histogram(StageTracer::Stage::consume).count(), 1u);
   EXPECT_EQ(tracer.histogram(StageTracer::Stage::consume).sum(), 0u);
+}
+
+TEST(StageTracerTest, StampBatchEqualsPerRecordStamps) {
+  Rng rng(11);
+  for (int round = 0; round < 50; ++round) {
+    MetricsRegistry per_record_reg;
+    MetricsRegistry batch_reg;
+    StageTracer per_record(per_record_reg, "q");
+    StageTracer batched(batch_reg, "q");
+    // Spans both sides of the 64-sample stack chunk, down to empty.
+    const std::size_t n = rng.uniform(0, 200);
+    const Timestamp event = rng.uniform(0, 200 * kSecond);
+    std::vector<Timestamp> origins(n);
+    for (auto& o : origins) {
+      switch (rng.uniform(0, 5)) {
+        case 0: o = 0; break;                                  // unknown: dropped
+        case 1: o = event + rng.uniform(1, kSecond); break;    // backwards: dropped
+        case 2: o = event; break;                              // zero latency
+        case 3: o = event - std::min(event, rng.next_u64()); break;  // any bucket
+        default: o = event - std::min(event, rng.uniform(0, 10 * kMillisecond));
+      }
+    }
+    for (const Timestamp o : origins) {
+      per_record.stamp(StageTracer::Stage::e2e, event, o);
+    }
+    batched.stamp_batch(StageTracer::Stage::e2e, event, origins);
+    const auto a = per_record_reg.snapshot();
+    const auto b = batch_reg.snapshot();
+    ASSERT_EQ(a, b) << "round " << round;
+    EXPECT_EQ(per_record.dropped_stamps(), batched.dropped_stamps());
+    EXPECT_EQ(per_record.histogram(StageTracer::Stage::e2e).count(),
+              batched.histogram(StageTracer::Stage::e2e).count());
+    EXPECT_EQ(per_record.histogram(StageTracer::Stage::e2e).sum(),
+              batched.histogram(StageTracer::Stage::e2e).sum());
+  }
+}
+
+TEST(HistogramMetricTest, ObserveAllEqualsObserveEach) {
+  HistogramMetric each({10, 20, 30});
+  HistogramMetric all({10, 20, 30});
+  const std::vector<std::uint64_t> samples = {5, 5, 10, 11, 40, 3, 20, 21, 30, 31,
+                                              ~std::uint64_t{0}, 0, 0};
+  for (const auto s : samples) each.observe(s);
+  all.observe_all(samples);
+  all.observe_all({});
+  for (std::size_t i = 0; i <= 3; ++i) EXPECT_EQ(each.bucket(i), all.bucket(i));
+  EXPECT_EQ(each.count(), all.count());
+  EXPECT_EQ(each.sum(), all.sum());  // wraps identically
 }
 
 #endif  // NETALYTICS_NO_METRICS

@@ -20,7 +20,7 @@
 #   docs   delegates to tests/check_docs.sh (README/DESIGN/docs references
 #          must point at files and targets that exist)
 #   coverage  delegates to tests/run_coverage.sh (gcov line coverage for
-#          src/mq, src/stream, src/tsdb and the src/obs + src/fed
+#          src/nf, src/mq, src/stream, src/tsdb and the src/obs + src/fed
 #          per-file floors must stay at or above the recorded baselines)
 #   perfbench  `python3 perfbench/run.py --selftest`: builds the benchmark
 #          program into .bench_build/ against the current src/ and requires
