@@ -70,15 +70,27 @@ BENCHMARK_CAPTURE(BM_Parser, mysql_query, "mysql_query",
 // stage tracer, drop ledger, trace recorder with tracing off, 32-record
 // output batches): sample -> http_get parse -> encode into the open batch ->
 // ship. Frames are 256-B GETs over 1,000 Zipf URLs, decoded up front, so
-// this is Monitor::process(const DecodedPacket&) alone.
-void BM_MonitorProcess(benchmark::State& state) {
+// this is Monitor::process(const DecodedPacket&) alone. `pushed` adds the
+// combiner a top-k query pushes (request filter, count per URL) and ticks
+// the monitor every 20,000 packets, as the engine's 1 s tick does at
+// 20k pkt/s: the tick ships one partial per URL instead of a record per
+// packet.
+void monitor_process(benchmark::State& state, bool pushed) {
   parsers::register_builtin_parsers();
   common::MetricsRegistry registry;
   common::StageTracer tracer(registry, "q1");
   common::DropLedger ledger(registry, "q1.drop");
   common::TraceRecorder recorder(common::TraceRecorder::Config{.sample_denominator = 0});
   nf::MonitorConfig cfg;
-  cfg.parsers.push_back({"http_get", 1});
+  cfg.parsers.push_back({"http_get", 1, /*ship_raw=*/!pushed});
+  if (pushed) {
+    cfg.combiners.push_back({.parser = "http_get",
+                             .topic = "q1.proc0.http_get",
+                             .key_fields = {3},
+                             .value_field = nf::kNoField,
+                             .filter_field = 2,
+                             .filter_equals = "request"});
+  }
   cfg.output_batch_records = 32;
   cfg.metrics = &registry;
   cfg.metrics_prefix = "q1.mon0";
@@ -102,18 +114,26 @@ void BM_MonitorProcess(benchmark::State& state) {
   }
   common::Timestamp now = common::kSecond;
   std::size_t i = 0;
+  std::size_t since_tick = 0;
   for (auto _ : state) {
     net::DecodedPacket& pkt = packets[i];
     pkt.timestamp = now;
     monitor.process(pkt);
     now += 1000;
     i = (i + 1) % packets.size();
+    if (pushed && ++since_tick == 20000) {
+      monitor.tick(now);
+      since_tick = 0;
+    }
   }
   monitor.close(now);
   benchmark::DoNotOptimize(shipped);
   state.SetItemsProcessed(state.iterations());
 }
+void BM_MonitorProcess(benchmark::State& state) { monitor_process(state, false); }
 BENCHMARK(BM_MonitorProcess);
+void BM_MonitorProcessPushed(benchmark::State& state) { monitor_process(state, true); }
+BENCHMARK(BM_MonitorProcessPushed);
 
 void BM_FlowSampler(benchmark::State& state) {
   nf::FlowSampler sampler(0.5);

@@ -9,7 +9,6 @@
 //   2. general query log enabled (in-server instrumentation),
 //   3. query log off but NetAlytics passively monitoring the server's
 //      traffic (the monitor runs in the fabric; the server does nothing).
-#include <algorithm>
 #include <cstdio>
 
 #include "apps/dbserver.hpp"
@@ -19,29 +18,16 @@
 
 using namespace netalytics;
 
-namespace {
-
-double best_of(apps::DbServer& db, int trials, std::uint64_t queries) {
-  double best = 0;
-  for (int t = 0; t < trials; ++t) {
-    best = std::max(best, db.run_benchmark(queries).qps);
-  }
-  return best;
-}
-
-}  // namespace
-
 int main() {
-  constexpr std::uint64_t kQueries = 400000;
+  // Interleaved A/B trials on thread CPU time; each configuration's cost is
+  // the median of its paired qps ratios against the baseline server.
+  constexpr int kPairs = 15;
+  constexpr std::uint64_t kQueries = 100000;
 
   apps::DbServer baseline;
   apps::DbServer logged;
   logged.set_query_log(true);
-  baseline.run_benchmark(20000);  // warm-up
-  logged.run_benchmark(20000);
-
-  const double base_qps = best_of(baseline, 3, kQueries);
-  const double log_qps = best_of(logged, 3, kQueries);
+  const auto log_cmp = apps::compare_throughput(baseline, logged, kPairs, kQueries);
 
   // Passive monitoring: the server serves the same workload while its
   // traffic is mirrored to a NetAlytics monitor elsewhere in the fabric.
@@ -57,7 +43,6 @@ int main() {
   // DB's own throughput is unchanged by construction. Measure it while the
   // mirror path is actually exercised.
   apps::DbServer monitored;
-  monitored.run_benchmark(20000);
   const auto query_frame = [&] {
     pktgen::TcpFrameSpec spec;
     spec.flow = {*emu.ip_of_name("h0"), *emu.ip_of_name("h5"), 40000, 3306, 6};
@@ -67,23 +52,28 @@ int main() {
     return pktgen::build_tcp_frame(spec);
   }();
   for (int i = 0; i < 10000; ++i) emu.transmit(query_frame, i);
-  const double mon_qps = best_of(monitored, 3, kQueries);
+  const auto mon_cmp = apps::compare_throughput(baseline, monitored, kPairs, kQueries);
   engine.stop_all(common::kSecond);
 
+  const double base_qps = log_cmp.a_qps;
   std::printf("== §7.2 table: DB throughput under different monitoring ==\n");
+  std::printf("(%d interleaved pairs of %llu queries on thread CPU time; "
+              "\"vs base\" is the median paired ratio, qps the baseline "
+              "median times it)\n",
+              kPairs, static_cast<unsigned long long>(kQueries));
   std::printf("%-34s %12s %10s\n", "configuration", "qps", "vs base");
   std::printf("%-34s %12.0f %9.1f%%\n", "no monitoring", base_qps, 100.0);
   std::printf("%-34s %12.0f %9.1f%%\n", "general query log (instrumented)",
-              log_qps, 100.0 * log_qps / base_qps);
+              base_qps * log_cmp.ratio, 100.0 * log_cmp.ratio);
   std::printf("%-34s %12.0f %9.1f%%\n", "NetAlytics passive monitoring",
-              mon_qps, 100.0 * mon_qps / base_qps);
+              base_qps * mon_cmp.ratio, 100.0 * mon_cmp.ratio);
 
-  const double drop = 1.0 - log_qps / base_qps;
+  const double drop = 1.0 - log_cmp.ratio;
   std::printf("\nshape checks (paper: 40.8K -> 33K qps, ~20%% drop):\n");
   std::printf("  query log costs measurable throughput: %s (%.1f%% drop)\n",
               drop > 0.03 ? "yes" : "NO", drop * 100);
   std::printf("  passive monitoring costs ~nothing: %s (%.1f%% of baseline)\n",
-              mon_qps > base_qps * 0.9 ? "yes" : "NO", 100.0 * mon_qps / base_qps);
+              mon_cmp.ratio > 0.9 ? "yes" : "NO", 100.0 * mon_cmp.ratio);
   std::printf("  monitor actually saw the queries: %s (%llu records)\n",
               (*q)->monitor_stats().parsed > 0 ? "yes" : "NO",
               static_cast<unsigned long long>((*q)->monitor_stats().parsed));

@@ -3,6 +3,7 @@
 #include <map>
 
 #include "common/rng.hpp"
+#include "stream/processors.hpp"
 
 namespace netalytics::core {
 
@@ -67,12 +68,37 @@ common::Expected<Resolved> resolve(const query::Address& addr, const Emulation& 
 
 }  // namespace
 
+bool DeploymentPlan::ships_raw(const std::string& parser) const {
+  bool folded = false;
+  for (const auto& push : pushdowns) {
+    if (!push) return true;
+    folded = folded || push->parser == parser;
+  }
+  return !folded;
+}
+
+std::vector<std::string> DeploymentPlan::shipped_topics() const {
+  std::vector<std::string> out;
+  for (const auto& topic : topics) {
+    if (ships_raw(topic)) out.push_back(topic);
+  }
+  for (const auto& push : pushdowns) {
+    if (push) out.push_back(push->topic);
+  }
+  return out;
+}
+
 common::Expected<DeploymentPlan> compile_query(const query::ValidatedQuery& vq,
                                                const Emulation& emu,
                                                placement::MonitorStrategy strategy) {
   DeploymentPlan plan;
   plan.topics = vq.topics;
   plan.processors = vq.query.processors;
+  for (const auto& call : plan.processors) {
+    stream::ProcessorParams params;
+    params.args = call.args;
+    plan.pushdowns.push_back(stream::pushdown_of(call.name, params, plan.topics));
+  }
 
   switch (vq.query.sample.mode) {
     case query::SampleSpec::Mode::disabled:

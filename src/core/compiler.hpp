@@ -8,6 +8,7 @@
 
 #include "common/expected.hpp"
 #include "core/emulation.hpp"
+#include "nf/combiner.hpp"
 #include "placement/strategies.hpp"
 #include "query/semantic.hpp"
 
@@ -40,6 +41,17 @@ struct DeploymentPlan {
   common::Duration duration = 0;    // 0 = unlimited (packet limit or manual)
   std::uint64_t packet_limit = 0;   // 0 = none
   std::vector<query::ProcessorCall> processors;
+  /// Per processor: the filter and combiner pushed into every monitor
+  /// (stream::pushdown_of), or nullopt when the processor reads raw parser
+  /// records. The engine names each pushed topic after the query.
+  std::vector<std::optional<nf::CombinerSpec>> pushdowns;
+
+  /// Whether monitors ship `parser`'s raw records: some processor reads
+  /// them unpushed, or no pushed combiner folds them.
+  bool ships_raw(const std::string& parser) const;
+  /// Every topic this plan's monitors produce to (raw parser topics, then
+  /// pushed topics) — what its spouts, occupancy and backlog read.
+  std::vector<std::string> shipped_topics() const;
 };
 
 /// Compile a validated query against the emulation's host table and

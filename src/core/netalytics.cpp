@@ -153,6 +153,7 @@ std::string ReconcileReport::render() const {
   line("in_flight", in_flight);
   line("tick_records", tick_records);
   line("extra_records", extra_records);
+  line("folded", folded);
   line("duplicated", duplicated);
   out += "residual ";
   out += std::to_string(residual());
@@ -195,6 +196,8 @@ nf::MonitorStats QueryHandle::monitor_stats() const {
     else if (leaf == "record_bytes") total.record_bytes += v;
     else if (leaf == "raw_bytes") total.raw_bytes += v;
     else if (leaf == "parser_errors") total.parser_errors += v;
+    else if (leaf == "folded") total.folded += v;
+    else if (leaf == "filtered") total.filtered += v;
   }
   return total;
 }
@@ -279,6 +282,18 @@ common::Expected<QueryHandle*> NetAlytics::submit(std::string_view text,
   handle->start_time = now;
   handle->last_tick = now;
   if (handle->plan_.duration > 0) handle->end_time = now + handle->plan_.duration;
+  // Pushed partials ship to topics the query owns, so no other query's
+  // spout reads them and no raw-record reader meets a partial.
+  for (std::size_t i = 0; i < handle->plan_.pushdowns.size(); ++i) {
+    auto& push = handle->plan_.pushdowns[i];
+    if (!push) continue;
+    if (!pushdown_) {
+      push.reset();
+      continue;
+    }
+    push->topic = "q" + std::to_string(handle->id_) + ".proc" +
+                  std::to_string(i) + "." + push->parser;
+  }
 
   // Everything this query publishes lives under "q<id>." in the engine's
   // registry; the tracer owns the per-stage latency histograms.
@@ -320,7 +335,12 @@ void NetAlytics::deploy_monitors(QueryHandle& q, common::Timestamp now) {
     mq::Producer* producer_ptr = producer.get();
 
     nf::MonitorConfig mcfg;
-    for (const auto& topic : q.plan_.topics) mcfg.parsers.push_back({topic, 1});
+    for (const auto& topic : q.plan_.topics) {
+      mcfg.parsers.push_back({topic, 1, q.plan_.ships_raw(topic)});
+    }
+    for (const auto& push : q.plan_.pushdowns) {
+      if (push) mcfg.combiners.push_back(*push);
+    }
     mcfg.sample_rate = q.plan_.initial_sample_rate;
     mcfg.output_batch_records = config_.monitor_output_batch;
     mcfg.metrics = &metrics_;
@@ -388,6 +408,7 @@ void NetAlytics::build_processors(QueryHandle& q) {
     ctx.consumer_group =
         "q" + std::to_string(q.id_) + "-" + call.name + std::to_string(i);
     ctx.topics = q.plan_.topics;
+    ctx.pushdown = q.plan_.pushdowns[i];
     ctx.parallelism = config_.processor_parallelism;
     ctx.spout_group_size = config_.spout_group_size;
     ctx.fault_plan = emu_.fault_plan();
@@ -484,12 +505,14 @@ void NetAlytics::pump(common::Timestamp now) {
 
     // Sample buffer pressure before the processors drain: the aggregation
     // layer's backlog at this instant is the overload signal (§4.2).
-    double occupancy = 0;
-    if (q.plan_.auto_sample) {
-      for (const auto& topic : q.plan_.topics) {
+    const auto sample_occupancy = [this, &q] {
+      double occupancy = 0;
+      for (const auto& topic : q.plan_.shipped_topics()) {
         occupancy = std::max(occupancy, cluster_.occupancy(topic));
       }
-    }
+      return occupancy;
+    };
+    double occupancy = q.plan_.auto_sample ? sample_occupancy() : 0;
 
     for (auto& topo : q.topologies) topo->run_until_idle(now);
 
@@ -500,6 +523,9 @@ void NetAlytics::pump(common::Timestamp now) {
       // the same pump's window tick must see them.
       for (auto* m : q.monitors) m->tick(now);
       for (auto& p : q.producers) p->drain(now);
+      // Sample again now that the tick shipped: a pushed plan's partials
+      // reach the aggregation layer only here.
+      if (q.plan_.auto_sample) occupancy = std::max(occupancy, sample_occupancy());
       for (auto& topo : q.topologies) {
         topo->run_until_idle(now);
         topo->tick(now);
@@ -545,6 +571,7 @@ ReconcileReport NetAlytics::reconcile(const QueryHandle& q) const {
     if (leaf == "rx_packets") r.packets_in += c.value;
     else if (leaf == "tick_records") r.tick_records += c.value;
     else if (leaf == "extra_records") r.extra_records += c.value;
+    else if (leaf == "folded" || leaf == "filtered") r.folded += c.value;
   }
   // Spout buffers: record batches polled off the brokers but not yet
   // re-emitted as tuples (absolute gauges, one per spout task).
@@ -561,7 +588,7 @@ ReconcileReport NetAlytics::reconcile(const QueryHandle& q) const {
              engine_ledger_.value(common::DropCause::broker_retention);
 
   for (const auto& p : q.producers) r.in_flight += p->held_records();
-  for (const auto& topic : q.plan_.topics) {
+  for (const auto& topic : q.plan_.shipped_topics()) {
     r.in_flight += cluster_.unread_records(topic);
   }
   r.duplicated = cluster_.aggregate_stats().duplicated_records;

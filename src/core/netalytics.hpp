@@ -266,11 +266,12 @@ class QueryHandle {
 
 /// Conservation accounting over one query's pipeline: every packet the
 /// monitors received either became result tuples, was discarded for a
-/// ledger-accounted cause, or is still in flight between stages. Exact
-/// (residual() == 0) for deterministic runs of record-preserving
-/// processors (identity), where one shipped record is one result tuple;
-/// aggregating processors fold many records into one tuple, so only the
-/// drop/in-flight terms are meaningful there.
+/// ledger-accounted cause, ended at the monitor in a pushed combiner, or is
+/// still in flight between stages. Exact (residual() == 0) for
+/// deterministic runs of record-preserving processors (identity), where
+/// one shipped record is one result tuple; aggregating processors fold
+/// many records into one tuple, so only the drop/in-flight/folded terms
+/// are meaningful there.
 struct ReconcileReport {
   std::uint64_t packets_in = 0;    // monitor rx_packets (pre-drop)
   std::uint64_t tuples_out = 0;    // tuples delivered to the result sink
@@ -279,13 +280,16 @@ struct ReconcileReport {
   std::uint64_t tick_records = 0;  // records minted by parser window ticks
   std::uint64_t extra_records = 0; // records beyond a packet's first
   std::uint64_t duplicated = 0;    // broker at-least-once duplicate deliveries
+  /// Records that ended at the monitor: folded into a pushed partial or
+  /// dropped by a pushed filter (the partials count as tick_records).
+  std::uint64_t folded = 0;
 
-  /// packets_in − (tuples_out + losses + in_flight) corrected for record
-  /// multiplicity: tick and extra records reached the sink without being
-  /// (whole) packets, duplicates reached it twice.
+  /// packets_in − (tuples_out + losses + in_flight + folded) corrected for
+  /// record multiplicity: tick and extra records reached the sink without
+  /// being (whole) packets, duplicates reached it twice.
   std::int64_t residual() const noexcept {
     return static_cast<std::int64_t>(packets_in) -
-           static_cast<std::int64_t>(tuples_out + losses + in_flight) +
+           static_cast<std::int64_t>(tuples_out + losses + in_flight + folded) +
            static_cast<std::int64_t>(tick_records + extra_records + duplicated);
   }
   bool exact() const noexcept { return residual() == 0; }
@@ -408,6 +412,12 @@ class NetAlytics {
   common::Counter* queries_submitted_ = nullptr;
   common::Counter* queries_finished_ = nullptr;
   common::Counter* pumps_ = nullptr;
+
+  /// Differential-test seam: a test-side friend clears this before submit
+  /// so the query runs its unpushed plan, the oracle pushed plans are
+  /// checked against. Not a configuration knob.
+  friend struct PushdownOracle;
+  bool pushdown_ = true;
 
   stream::KvStore* automation_store_ = nullptr;
   stream::UpdaterConfig automation_config_{};

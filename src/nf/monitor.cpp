@@ -39,6 +39,8 @@ Monitor::Monitor(MonitorConfig config, BatchSink sink)
   records_ = &metrics_->counter(p + ".records");
   record_bytes_ = &metrics_->counter(p + ".record_bytes");
   batches_ = &metrics_->counter(p + ".batches");
+  folded_ = &metrics_->counter(p + ".folded");
+  filtered_ = &metrics_->counter(p + ".filtered");
   groups_.reserve(config_.parsers.size());
   for (const auto& spec : config_.parsers) {
     ParserGroup group;
@@ -54,6 +56,20 @@ Monitor::Monitor(MonitorConfig config, BatchSink sink)
       worker->output->set_tracer(config_.tracer);
       worker->output->set_trace_recorder(config_.trace_recorder);
       worker->output->bind_counters(records_, record_bytes_, batches_);
+      // Chain this parser's combiners back to front, so each passes every
+      // record on to the next and the last to the raw output (if shipped).
+      RecordSink* next = spec.ship_raw ? worker->output.get() : nullptr;
+      for (auto it = config_.combiners.rbegin(); it != config_.combiners.rend();
+           ++it) {
+        if (it->parser != spec.name) continue;
+        auto combiner = std::make_unique<Combiner>(*it, *worker->output, next);
+        combiner->bind_counters(folded_, filtered_);
+        next = combiner.get();
+        worker->combiners.insert(worker->combiners.begin(), std::move(combiner));
+      }
+      worker->sink = worker->combiners.empty()
+                         ? static_cast<RecordSink*>(worker->output.get())
+                         : worker->combiners.front().get();
       group.workers.push_back(std::move(worker));
     }
     groups_.push_back(std::move(group));
@@ -129,17 +145,17 @@ void Monitor::dispatch(const net::PacketPtr& pkt, const net::DecodedPacket& deco
 
 void Monitor::parse_guarded(Worker& w, const net::DecodedPacket& decoded,
                             std::size_t raw_size, std::uint64_t trace) {
-  w.output->set_current_trace(trace);
-  const std::uint64_t before = w.output->emitted();
+  w.set_current_trace(trace);
+  const std::uint64_t before = w.emitted();
   try {
     if (faults_ != nullptr &&
         faults_->should_fail(kFaultParserThrow, decoded.timestamp)) {
       throw std::runtime_error("injected parser fault");
     }
-    w.parser->on_packet(decoded, *w.output);
+    w.parser->on_packet(decoded, *w.sink);
     parsed_->inc();
     raw_bytes_->inc(raw_size);
-    const std::uint64_t emitted = w.output->emitted() - before;
+    const std::uint64_t emitted = w.emitted() - before;
     if (emitted == 0) {
       // Parsed cleanly but produced nothing — a sink for conservation
       // accounting, distinct from an error.
@@ -156,10 +172,10 @@ void Monitor::parse_guarded(Worker& w, const net::DecodedPacket& decoded,
     drop(common::DropCause::parse_error, *parser_errors_);
     // Anything emitted before the throw is surplus relative to the packet
     // we just wrote off as lost.
-    const std::uint64_t emitted = w.output->emitted() - before;
+    const std::uint64_t emitted = w.emitted() - before;
     if (emitted != 0) extra_records_->inc(emitted);
   }
-  w.output->set_current_trace(0);
+  w.set_current_trace(0);
 }
 
 void Monitor::collector_loop() {
@@ -211,8 +227,7 @@ void Monitor::worker_loop(Worker& w) {
       if (collector_done_.load(std::memory_order_acquire)) break;
       const common::Timestamp now = clock.now();
       if (now - last_tick >= config_.tick_interval) {
-        w.parser->on_tick(now, *w.output);
-        w.output->flush();
+        tick_worker(w, now, /*closing=*/false, /*ship_time=*/0);
         last_tick = now;
       }
       std::this_thread::yield();
@@ -229,8 +244,7 @@ void Monitor::worker_loop(Worker& w) {
     const common::Timestamp t1 = clock.now();
     if (t1 > t0) parse_time_->observe((t1 - t0) / n);
   }
-  w.parser->on_close(clock.now(), *w.output);
-  w.output->flush();
+  tick_worker(w, clock.now(), /*closing=*/true, /*ship_time=*/0);
 }
 
 bool Monitor::admit(common::Timestamp ts) noexcept {
@@ -276,31 +290,36 @@ void Monitor::process(const net::DecodedPacket& pkt) {
   }
 }
 
+void Monitor::tick_worker(Worker& w, common::Timestamp now, bool closing,
+                          common::Timestamp ship_time) {
+  const std::uint64_t before = w.emitted();
+  if (closing) {
+    w.parser->on_close(now, *w.sink);
+  } else {
+    w.parser->on_tick(now, *w.sink);
+  }
+  // Records emitted here come from aggregation windows, not from any one
+  // packet — the parser's and the combiners' partials alike; reconcile
+  // subtracts them from the record stream.
+  std::uint64_t minted = w.emitted() - before;
+  w.output->set_tick_time(ship_time);
+  for (auto& c : w.combiners) minted += c->flush(now);
+  w.output->set_tick_time(0);
+  if (minted != 0) tick_records_->inc(minted);
+  // Ship partially-filled batches so downstream latency is bounded by the
+  // tick interval even at low record rates.
+  w.output->flush(ship_time);
+}
+
 void Monitor::tick(common::Timestamp now) {
   for (auto& group : groups_) {
-    for (auto& worker : group.workers) {
-      const std::uint64_t before = worker->output->emitted();
-      worker->parser->on_tick(now, *worker->output);
-      // Records emitted here come from aggregation windows, not from any one
-      // packet; reconcile subtracts them from the record stream.
-      const std::uint64_t emitted = worker->output->emitted() - before;
-      if (emitted != 0) tick_records_->inc(emitted);
-      // Ship partially-filled batches so downstream latency is bounded by
-      // the tick interval even at low record rates.
-      worker->output->flush(now);
-    }
+    for (auto& worker : group.workers) tick_worker(*worker, now, false, now);
   }
 }
 
 void Monitor::close(common::Timestamp now) {
   for (auto& group : groups_) {
-    for (auto& worker : group.workers) {
-      const std::uint64_t before = worker->output->emitted();
-      worker->parser->on_close(now, *worker->output);
-      const std::uint64_t emitted = worker->output->emitted() - before;
-      if (emitted != 0) tick_records_->inc(emitted);
-      worker->output->flush(now);
-    }
+    for (auto& worker : group.workers) tick_worker(*worker, now, true, now);
   }
 }
 
@@ -317,6 +336,8 @@ MonitorStats Monitor::stats() const {
   s.raw_bytes = raw_bytes_->value();
   s.records = records_->value();
   s.record_bytes = record_bytes_->value();
+  s.folded = folded_->value();
+  s.filtered = filtered_->value();
   return s;
 }
 

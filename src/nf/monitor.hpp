@@ -21,6 +21,7 @@
 #include "common/metrics.hpp"
 #include "common/spsc_ring.hpp"
 #include "net/packet.hpp"
+#include "nf/combiner.hpp"
 #include "nf/output.hpp"
 #include "nf/parser.hpp"
 #include "nf/sampler.hpp"
@@ -41,6 +42,9 @@ inline constexpr std::string_view kFaultParserThrow = "nf.parser.throw";
 struct ParserSpec {
   std::string name;
   std::size_t workers = 1;  // worker threads (and parser instances)
+  /// Ship this parser's records as they are. False when every consumer of
+  /// the records is a pushed combiner (MonitorConfig::combiners).
+  bool ship_raw = true;
 };
 
 struct MonitorConfig {
@@ -50,6 +54,10 @@ struct MonitorConfig {
   std::size_t burst_size = 32;
   std::size_t output_batch_records = 64;
   double sample_rate = 1.0;
+  /// Pushed filters and per-tick combiners (nf/combiner.hpp): each folds
+  /// the records of the parser it names and ships one partial record per
+  /// key to its own topic at tick() and close().
+  std::vector<CombinerSpec> combiners;
   /// Interval between parser on_tick calls (aggregating parsers flush here).
   common::Duration tick_interval = 100 * common::kMillisecond;
 
@@ -86,6 +94,8 @@ struct MonitorStats {
   std::uint64_t record_bytes = 0;     // serialized record bytes shipped
   std::uint64_t raw_bytes = 0;        // raw bytes of parsed packets
   std::uint64_t parser_errors = 0;    // packets whose parser threw (survived)
+  std::uint64_t folded = 0;           // records folded into a partial
+  std::uint64_t filtered = 0;         // records dropped by a pushed filter
 };
 
 /// A software NF monitor. Two execution modes:
@@ -145,7 +155,20 @@ class Monitor {
     std::unique_ptr<PacketParser> parser;
     std::unique_ptr<common::SpscRing<WorkItem>> ring;
     std::unique_ptr<OutputInterface> output;
+    /// Pushed combiners, chained: each passes every record on to the next,
+    /// the last to `output` when the parser ships raw records.
+    std::vector<std::unique_ptr<Combiner>> combiners;
+    RecordSink* sink = nullptr;  // what the parser emits into
     std::thread thread;
+
+    void set_current_trace(std::uint64_t trace) noexcept {
+      output->set_current_trace(trace);
+      for (auto& c : combiners) c->set_current_trace(trace);
+    }
+    /// Records the parser has emitted so far.
+    std::uint64_t emitted() const noexcept {
+      return combiners.empty() ? output->emitted() : combiners.front()->received();
+    }
   };
 
   struct ParserGroup {
@@ -166,6 +189,11 @@ class Monitor {
   /// Inline-mode admission: count the packet and take the RX-overflow fault
   /// draw. False = dropped.
   bool admit(common::Timestamp ts) noexcept;
+  /// Run the parser's tick (or close) hook, then ship every combiner's
+  /// partials and the open batches; both count as tick records.
+  /// `ship_time` stamps the flushed batches (0 = unknown, threaded mode).
+  void tick_worker(Worker& w, common::Timestamp now, bool closing,
+                   common::Timestamp ship_time);
   void drop(common::DropCause cause, common::Counter& counter) noexcept {
     counter.inc();
     if (config_.drop_ledger != nullptr) config_.drop_ledger->add(cause);
@@ -202,6 +230,8 @@ class Monitor {
   common::Counter* records_ = nullptr;
   common::Counter* record_bytes_ = nullptr;
   common::Counter* batches_ = nullptr;
+  common::Counter* folded_ = nullptr;
+  common::Counter* filtered_ = nullptr;
   common::Gauge* rx_depth_ = nullptr;            // threaded mode ring depth
   common::HistogramMetric* parse_time_ = nullptr;  // wall-clock, threaded mode
 };

@@ -20,8 +20,9 @@ void OutputInterface::emit(const RecordView& record) {
   batch.timestamps.push_back(record.timestamp);
   if (batch.records.size() >= batch_records_) {
     // A full batch ships immediately, so the record that tipped it over is
-    // the freshest timestamp we have — that is the ship time in virtual runs.
-    ship(batch, record.timestamp);
+    // the freshest timestamp we have — that is the ship time in virtual runs
+    // (unless a tick flush set the clock).
+    ship(batch, tick_time_ != 0 ? tick_time_ : record.timestamp);
   }
 }
 

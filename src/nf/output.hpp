@@ -62,6 +62,11 @@ class OutputInterface final : public RecordSink {
   /// (threaded paths), which skips the stamp.
   void flush(common::Timestamp now = 0);
 
+  /// While nonzero, batches that fill up ship at `now` rather than at the
+  /// tipping record's timestamp: the monitor sets it around a tick flush,
+  /// whose partials come in key order, not time order.
+  void set_tick_time(common::Timestamp now) noexcept { tick_time_ = now; }
+
   /// Route batching-delay stamps into `tracer` (emit stage). The tracer
   /// must outlive this interface.
   void set_tracer(common::StageTracer* tracer) noexcept { tracer_ = tracer; }
@@ -115,6 +120,7 @@ class OutputInterface final : public RecordSink {
   common::StageTracer* tracer_ = nullptr;
   common::TraceRecorder* recorder_ = nullptr;
   std::uint64_t current_trace_ = 0;
+  common::Timestamp tick_time_ = 0;
   std::vector<std::uint64_t> trace_scratch_;  // reused per ship()
   common::Counter* records_ctr_ = nullptr;
   common::Counter* bytes_ctr_ = nullptr;

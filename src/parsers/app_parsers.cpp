@@ -79,10 +79,11 @@ class MysqlQueryParser final : public PacketParser {
     if (to_server) {
       // MySQL framing: 3-byte length, 1-byte seq, then command byte.
       if (static_cast<std::uint8_t>(payload[4]) != 0x03) return;  // COM_QUERY
-      Pending p;
+      // Overwrite the (recycled) slot in place: the statement string keeps
+      // the capacity an earlier query left, so steady state allocates nothing.
+      Pending& p = pending_.slot(id);
       p.statement.assign(common::as_string_view(payload.subspan(5)));
       p.query_time = pkt.timestamp;
-      pending_.put(id, std::move(p));
     } else if (pkt.five_tuple.src_port == 3306) {
       Pending* p = pending_.find(id);
       if (p == nullptr) return;  // response without an observed query

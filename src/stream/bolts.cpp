@@ -141,16 +141,29 @@ void GroupAggBolt::execute(Tuple input, Collector&) {
   Agg& agg = it->second;
   if (inserted) agg.group_values = std::move(group_values);
 
-  double v = 0;
-  if (config_.op != AggOp::count) v = as_number(input.at(config_.value_index));
-  if (agg.count == 0) {
-    agg.max = agg.min = v;
-  } else {
-    agg.max = std::max(agg.max, v);
-    agg.min = std::min(agg.min, v);
+  // A raw tuple is a partial of one sample.
+  std::uint64_t n = 1;
+  double sum = 0, min = 0, max = 0;
+  if (config_.count_index != GroupAggConfig::kRawInput) {
+    const std::size_t c = config_.count_index;
+    n = as_u64(input.at(c));
+    if (config_.op != AggOp::count) {
+      sum = as_f64(input.at(c + 1));
+      min = as_f64(input.at(c + 2));
+      max = as_f64(input.at(c + 3));
+    }
+  } else if (config_.op != AggOp::count) {
+    sum = min = max = as_number(input.at(config_.value_index));
   }
-  agg.sum += v;
-  ++agg.count;
+  if (agg.count == 0) {
+    agg.max = max;
+    agg.min = min;
+  } else {
+    agg.max = std::max(agg.max, max);
+    agg.min = std::min(agg.min, min);
+  }
+  agg.sum += sum;
+  agg.count += n;
   agg.trace = std::max(agg.trace, input.trace);
   report_window();
 }

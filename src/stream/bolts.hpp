@@ -147,8 +147,14 @@ enum class AggOp { sum, avg, max, min, count };
 /// indices and aggregates a numeric value index; emits per-group rows on
 /// tick and cleanup: [group fields..., aggregate:f64, samples:u64].
 struct GroupAggConfig {
+  static constexpr std::size_t kRawInput = static_cast<std::size_t>(-1);
+
   std::vector<std::size_t> group_indices;
   std::size_t value_index = 0;  // ignored for AggOp::count
+  /// Partial input (nf/combiner.hpp): the u64 record count at this index,
+  /// followed — unless op is count — by sum, min and max as f64.
+  /// kRawInput: each tuple is one sample of value_index.
+  std::size_t count_index = kRawInput;
   AggOp op = AggOp::avg;
   bool emit_on_tick = true;  // false: only emit at cleanup (final table)
   bool reset_after_emit = false;

@@ -39,9 +39,11 @@ common::Error err(std::string message) {
 }
 
 /// Common front of every processor: Kafka spout + parsing bolt for one
-/// topic. Returns the parse component's name.
+/// topic whose records parse into `schema`. Returns the parse component's
+/// name.
 std::string add_source(TopologyBuilder& b, const ProcessorContext& ctx,
-                       const std::string& topic, std::size_t index) {
+                       const std::string& topic, const Fields& schema,
+                       std::size_t index) {
   const std::string spout_name = "spout" + std::to_string(index);
   const std::string parse_name = "parse" + std::to_string(index);
   mq::Cluster* cluster = ctx.cluster;
@@ -73,15 +75,21 @@ std::string add_source(TopologyBuilder& b, const ProcessorContext& ctx,
       },
       {"payload"}, group_size);
   b.set_bolt(
-       parse_name, [] { return std::make_unique<ParsingBolt>(); },
-       record_schema(topic), ctx.parallelism)
+       parse_name, [] { return std::make_unique<ParsingBolt>(); }, schema,
+       ctx.parallelism)
       .shuffle_grouping(spout_name);
   return parse_name;
 }
 
-common::Expected<TopologySpec> build_topk(const ProcessorParams& params,
-                                          const ProcessorContext& ctx) {
-  const std::string topic = ctx.topics.front();
+/// What a top-k over one parser topic counts: the key's schema index and,
+/// for http_get, the "kind" field that must read "request".
+struct TopkShape {
+  std::size_t key_index = 0;
+  std::size_t kind_index = nf::kNoField;
+};
+
+common::Expected<TopkShape> topk_shape(const ProcessorParams& params,
+                                       const std::string& topic) {
   const Fields schema = record_schema(topic);
   if (schema.empty()) return err("top-k: unknown parser topic '" + topic + "'");
 
@@ -94,31 +102,108 @@ common::Expected<TopologySpec> build_topk(const ProcessorParams& params,
     else if (topic == "mysql_query") key_field = "statement";
     else key_field = schema.back();
   }
-  const std::size_t key_index = field_index(schema, key_field);
-  if (key_index >= schema.size()) {
+  TopkShape shape;
+  shape.key_index = field_index(schema, key_field);
+  if (shape.key_index >= schema.size()) {
     return err("top-k: field '" + key_field + "' not in schema of " + topic);
   }
+  // Count only GET requests; response records carry a numeric status.
+  if (topic == "http_get") shape.kind_index = field_index(schema, "kind");
+  return shape;
+}
+
+/// What a group-* processor over one parser topic aggregates.
+struct GroupShape {
+  AggOp op = AggOp::sum;
+  std::vector<std::size_t> group_indices;  // schema indices
+  std::size_t value_index = nf::kNoField;  // unset for group-count
+  Fields out_fields;                       // group fields, "agg", "samples"
+};
+
+common::Expected<GroupShape> group_shape(const std::string& name,
+                                         const ProcessorParams& params,
+                                         const std::string& topic) {
+  const Fields schema = record_schema(topic);
+  if (schema.empty()) return err(name + ": unknown parser topic '" + topic + "'");
+
+  GroupShape shape;
+  if (name == "group-avg") shape.op = AggOp::avg;
+  else if (name == "group-max") shape.op = AggOp::max;
+  else if (name == "group-min") shape.op = AggOp::min;
+  else if (name == "group-count") shape.op = AggOp::count;
+
+  // Sensible per-parser defaults: tcp_pkt_size sums bytes per src/dst pair
+  // (§7.1 Fig. 11); mysql_query aggregates latency per statement.
+  std::string default_group = "pair";
+  std::string default_value = "bytes";
+  if (topic == "mysql_query") {
+    default_group = "statement";
+    default_value = "latency_ns";
+  }
+
+  for (const auto& f : expand_group(params.get("group", default_group))) {
+    const std::size_t idx = field_index(schema, f);
+    if (idx >= schema.size()) {
+      return err(name + ": group field '" + f + "' not in schema of " + topic);
+    }
+    shape.group_indices.push_back(idx);
+    shape.out_fields.push_back(f);
+  }
+  if (shape.op != AggOp::count) {
+    const std::string value = params.get("value", default_value);
+    shape.value_index = field_index(schema, value);
+    if (shape.value_index >= schema.size()) {
+      return err(name + ": value field '" + value + "' not in schema of " + topic);
+    }
+  }
+  shape.out_fields.push_back("agg");
+  shape.out_fields.push_back("samples");
+  return shape;
+}
+
+/// A parsed partial is [id, ts, keys..., count, ...]: its keys start here.
+constexpr std::size_t kRecordHeader = 2;
+
+common::Expected<TopologySpec> build_topk(const ProcessorParams& params,
+                                          const ProcessorContext& ctx) {
+  const std::string topic = ctx.topics.front();
+  auto shape = topk_shape(params, topic);
+  if (!shape) return shape.error();
 
   const std::size_t k = params.get_u64("k", 10);
   const std::size_t slots = std::max<std::uint64_t>(1, params.get_u64("w", 10));
 
   TopologyBuilder b("top-k");
-  std::string upstream = add_source(b, ctx, topic, 0);
-
-  if (topic == "http_get") {
-    // Count only GET requests; response records carry a numeric status.
-    const std::size_t kind_index = field_index(schema, "kind");
-    b.set_bolt(
-         "filter",
-         [kind_index] {
-           return std::make_unique<FilterBolt>([kind_index](const Tuple& t) {
-             return std::holds_alternative<std::string>(t.at(kind_index)) &&
-                    as_str(t.at(kind_index)) == "request";
-           });
-         },
-         schema, ctx.parallelism)
-        .shuffle_grouping(upstream);
-    upstream = "filter";
+  std::string upstream;
+  std::string key_name;
+  std::size_t key_index = 0;
+  std::size_t count_index = CountingBolt::kImplicitCount;
+  if (ctx.pushdown) {
+    // The monitors filtered and counted: merge [id, ts, key, count].
+    const Fields schema = partial_schema(topic, *ctx.pushdown);
+    upstream = add_source(b, ctx, ctx.pushdown->topic, schema, 0);
+    key_index = kRecordHeader;
+    count_index = kRecordHeader + 1;
+    key_name = schema[key_index];
+  } else {
+    const Fields schema = record_schema(topic);
+    upstream = add_source(b, ctx, topic, schema, 0);
+    if (shape->kind_index != nf::kNoField) {
+      const std::size_t kind_index = shape->kind_index;
+      b.set_bolt(
+           "filter",
+           [kind_index] {
+             return std::make_unique<FilterBolt>([kind_index](const Tuple& t) {
+               return std::holds_alternative<std::string>(t.at(kind_index)) &&
+                      as_str(t.at(kind_index)) == "request";
+             });
+           },
+           schema, ctx.parallelism)
+          .shuffle_grouping(upstream);
+      upstream = "filter";
+    }
+    key_index = shape->key_index;
+    key_name = schema[key_index];
   }
 
   common::Gauge* count_window =
@@ -128,14 +213,14 @@ common::Expected<TopologySpec> build_topk(const ProcessorParams& params,
   common::DropLedger* count_ledger = ctx.drop_ledger;
   b.set_bolt(
        "count",
-       [key_index, slots, count_window, count_ledger] {
-         auto bolt = std::make_unique<CountingBolt>(key_index, slots);
+       [key_index, slots, count_index, count_window, count_ledger] {
+         auto bolt = std::make_unique<CountingBolt>(key_index, slots, count_index);
          bolt->set_window_gauge(count_window);
          bolt->set_drop_ledger(count_ledger);
          return bolt;
        },
        {"key", "count"}, ctx.parallelism)
-      .fields_grouping(upstream, {schema[key_index]});
+      .fields_grouping(upstream, {key_name});
   b.set_bolt(
        "rank", [k] { return std::make_unique<IntermediateRankingsBolt>(k); },
        {"key", "count"}, ctx.parallelism)
@@ -181,7 +266,7 @@ common::Expected<TopologySpec> build_diff_group(const ProcessorParams& params,
   const std::string agg = params.get("agg", "avg");
 
   TopologyBuilder b("diff-group");
-  add_source(b, ctx, "tcp_conn_time", 0);
+  add_source(b, ctx, "tcp_conn_time", record_schema("tcp_conn_time"), 0);
 
   // Diff start/end by id. Fields-grouped by id so parallel instances see
   // both events of a connection.
@@ -209,7 +294,7 @@ common::Expected<TopologySpec> build_diff_group(const ProcessorParams& params,
       return err("diff-group group=get requires the http_get parser");
     }
     const Fields http_schema = record_schema("http_get");
-    add_source(b, ctx, "http_get", 1);
+    add_source(b, ctx, "http_get", http_schema, 1);
     const std::size_t kind_index = field_index(http_schema, "kind");
     b.set_bolt(
          "filter1",
@@ -293,48 +378,27 @@ common::Expected<TopologySpec> build_group_agg(const std::string& name,
                                                const ProcessorParams& params,
                                                const ProcessorContext& ctx) {
   const std::string topic = ctx.topics.front();
-  const Fields schema = record_schema(topic);
-  if (schema.empty()) return err(name + ": unknown parser topic '" + topic + "'");
-
-  AggOp op = AggOp::sum;
-  if (name == "group-avg") op = AggOp::avg;
-  else if (name == "group-max") op = AggOp::max;
-  else if (name == "group-min") op = AggOp::min;
-  else if (name == "group-count") op = AggOp::count;
-
-  // Sensible per-parser defaults: tcp_pkt_size sums bytes per src/dst pair
-  // (§7.1 Fig. 11); mysql_query aggregates latency per statement.
-  std::string default_group = "pair";
-  std::string default_value = "bytes";
-  if (topic == "mysql_query") {
-    default_group = "statement";
-    default_value = "latency_ns";
-  }
-
-  GroupAggConfig gcfg;
-  gcfg.op = op;
-  Fields out_fields;
-  for (const auto& f : expand_group(params.get("group", default_group))) {
-    const std::size_t idx = field_index(schema, f);
-    if (idx >= schema.size()) {
-      return err(name + ": group field '" + f + "' not in schema of " + topic);
-    }
-    gcfg.group_indices.push_back(idx);
-    out_fields.push_back(f);
-  }
-  if (op != AggOp::count) {
-    const std::string value = params.get("value", default_value);
-    const std::size_t idx = field_index(schema, value);
-    if (idx >= schema.size()) {
-      return err(name + ": value field '" + value + "' not in schema of " + topic);
-    }
-    gcfg.value_index = idx;
-  }
-  out_fields.push_back("agg");
-  out_fields.push_back("samples");
+  auto shape = group_shape(name, params, topic);
+  if (!shape) return shape.error();
 
   TopologyBuilder b(name);
-  const std::string parse = add_source(b, ctx, topic, 0);
+  GroupAggConfig gcfg;
+  gcfg.op = shape->op;
+  std::string parse;
+  if (ctx.pushdown) {
+    // The monitors folded: merge [id, ts, groups..., count, sum, min, max].
+    parse = add_source(b, ctx, ctx.pushdown->topic,
+                       partial_schema(topic, *ctx.pushdown), 0);
+    for (std::size_t i = 0; i < shape->group_indices.size(); ++i) {
+      gcfg.group_indices.push_back(kRecordHeader + i);
+    }
+    gcfg.count_index = kRecordHeader + shape->group_indices.size();
+  } else {
+    parse = add_source(b, ctx, topic, record_schema(topic), 0);
+    gcfg.group_indices = shape->group_indices;
+    if (shape->value_index != nf::kNoField) gcfg.value_index = shape->value_index;
+  }
+  const Fields out_fields = shape->out_fields;
   common::Gauge* group_window =
       ctx.metrics == nullptr
           ? nullptr
@@ -386,8 +450,8 @@ common::Expected<TopologySpec> build_join(const ProcessorParams& params,
   }
 
   TopologyBuilder b("join");
-  add_source(b, ctx, left_topic, 0);
-  add_source(b, ctx, right_topic, 1);
+  add_source(b, ctx, left_topic, left_schema, 0);
+  add_source(b, ctx, right_topic, right_schema, 1);
 
   // Tag each side so the join can tell streams apart regardless of the
   // record layouts' widths.
@@ -429,7 +493,8 @@ common::Expected<TopologySpec> build_identity(const ProcessorContext& ctx) {
   auto sink = ctx.result_sink;
   std::vector<std::string> parses;
   for (std::size_t i = 0; i < ctx.topics.size(); ++i) {
-    parses.push_back(add_source(b, ctx, ctx.topics[i], i));
+    parses.push_back(
+        add_source(b, ctx, ctx.topics[i], record_schema(ctx.topics[i]), i));
   }
   auto handle = b.set_bolt(
       "sink", [sink] { return std::make_unique<SinkBolt>(sink); }, {});
@@ -473,6 +538,46 @@ Fields record_schema(const std::string& topic) {
   if (topic == "memcached_get") return {"id", "ts", "key"};
   if (topic == "mysql_query") return {"id", "ts", "statement", "latency_ns"};
   return {};
+}
+
+Fields partial_schema(const std::string& topic, const nf::CombinerSpec& spec) {
+  const Fields schema = record_schema(topic);
+  Fields out = {"id", "ts"};
+  for (const auto i : spec.key_fields) out.push_back(schema.at(i));
+  out.push_back("count");
+  if (spec.has_value()) {
+    out.push_back("sum");
+    out.push_back("min");
+    out.push_back("max");
+  }
+  return out;
+}
+
+std::optional<nf::CombinerSpec> pushdown_of(const std::string& name,
+                                            const ProcessorParams& params,
+                                            const std::vector<std::string>& topics) {
+  if (topics.empty()) return std::nullopt;
+  const std::string& topic = topics.front();
+  nf::CombinerSpec spec;
+  spec.parser = topic;
+  if (name == "top-k") {
+    auto shape = topk_shape(params, topic);
+    if (!shape) return std::nullopt;
+    spec.key_fields = {shape->key_index};
+    if (shape->kind_index != nf::kNoField) {
+      spec.filter_field = shape->kind_index;
+      spec.filter_equals = "request";
+    }
+    return spec;
+  }
+  if (name.starts_with("group-") && is_known_processor(name)) {
+    auto shape = group_shape(name, params, topic);
+    if (!shape) return std::nullopt;
+    spec.key_fields = shape->group_indices;
+    spec.value_field = shape->value_index;
+    return spec;
+  }
+  return std::nullopt;  // identity, join, diff-group see every record
 }
 
 bool is_known_processor(const std::string& name) {

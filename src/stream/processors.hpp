@@ -7,11 +7,13 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/expected.hpp"
 #include "mq/cluster.hpp"
+#include "nf/combiner.hpp"
 #include "stream/bolts.hpp"
 #include "stream/kvstore.hpp"
 #include "stream/topk.hpp"
@@ -33,6 +35,11 @@ struct ProcessorContext {
   mq::Cluster* cluster = nullptr;  // aggregation layer (required)
   std::string consumer_group = "netalytics";
   std::vector<std::string> topics;  // parser topics, in PARSE order
+  /// The combiner pushed into the monitors for this processor (see
+  /// pushdown_of), with its query-owned topic set. The topology then reads
+  /// partial records from that topic and merges them; unset, it reads the
+  /// raw parser records (the unpushed plan).
+  std::optional<nf::CombinerSpec> pushdown;
   /// Final results land here (required). The engine's sink also feeds
   /// windowed emissions (top-k, group-*) into its time-series store as
   /// per-tick "q<id>.result.proc<i>.<key>" gauge series.
@@ -67,6 +74,21 @@ struct ProcessorContext {
 /// Tuple schema the parsing bolt produces for a parser topic
 /// (["id","ts", <record fields...>]); empty Fields for unknown topics.
 Fields record_schema(const std::string& topic);
+
+/// Tuple schema the parsing bolt produces for the partial records `spec`
+/// folds from `topic`'s records: ["id","ts", key fields..., "count"], plus
+/// "sum","min","max" when the spec folds a value field.
+Fields partial_schema(const std::string& topic, const nf::CombinerSpec& spec);
+
+/// The filter and per-tick combiner processor `name` can push into the
+/// monitors: top-k (with http_get's request filter) and every group-*
+/// aggregate (group-avg as sum plus count). Nullopt for processors that
+/// must see every record (identity, join, diff-group) and for invalid
+/// parameters (build_processor reports those). The returned spec has no
+/// topic yet; the engine names a query-owned one.
+std::optional<nf::CombinerSpec> pushdown_of(const std::string& name,
+                                            const ProcessorParams& params,
+                                            const std::vector<std::string>& topics);
 
 /// True if `name` names a processor this library provides.
 bool is_known_processor(const std::string& name);

@@ -21,18 +21,25 @@ namespace netalytics::stream {
 /// on tick, then advances the window slot.
 class CountingBolt final : public Bolt {
  public:
+  static constexpr std::size_t kImplicitCount = static_cast<std::size_t>(-1);
+
   /// `key_index`: which input value is the counted key. `slots`: window
   /// slots retained (Storm's rolling-count "window length / emit period").
-  CountingBolt(std::size_t key_index, std::size_t slots)
-      : key_index_(key_index), counter_(slots) {}
+  /// `count_index`: the u64 a monitor-side partial carries (how many records
+  /// it folded); kImplicitCount counts each tuple once.
+  CountingBolt(std::size_t key_index, std::size_t slots,
+               std::size_t count_index = kImplicitCount)
+      : key_index_(key_index), count_index_(count_index), counter_(slots) {}
 
   void execute(Tuple input, Collector&) override {
+    const std::uint64_t by =
+        count_index_ == kImplicitCount ? 1 : as_u64(input.at(count_index_));
     // String keys are counted in place; other values are formatted first.
     const Value& key = input.at(key_index_);
     if (const auto* s = std::get_if<std::string>(&key)) {
-      count(*s, input.trace);
+      count(*s, by, input.trace);
     } else {
-      count(format_value(key), input.trace);
+      count(format_value(key), by, input.trace);
     }
   }
   void tick(common::Timestamp, Collector& out) override {
@@ -61,8 +68,8 @@ class CountingBolt final : public Bolt {
   void set_drop_ledger(common::DropLedger* ledger) noexcept { ledger_ = ledger; }
 
  private:
-  void count(std::string_view key, std::uint64_t trace) {
-    counter_.incr(key);
+  void count(std::string_view key, std::uint64_t by, std::uint64_t trace) {
+    counter_.incr(key, by);
     if (trace != 0) {
       // Trace continuation: a windowed emission inherits the max sampled
       // trace id among its contributors — max is commutative, so the
@@ -82,6 +89,7 @@ class CountingBolt final : public Bolt {
   }
 
   std::size_t key_index_;
+  std::size_t count_index_;
   RollingCounter counter_;
   // key -> max sampled trace
   std::map<std::string, std::uint64_t, std::less<>> trace_of_;

@@ -42,19 +42,16 @@ TEST(DbServer, BenchmarkReportsThroughput) {
 TEST(DbServer, QueryLogCostsThroughput) {
   // §7.2: the general query log drops throughput noticeably (the paper
   // measured ~20%); passive monitoring costs nothing by construction.
-  // Best-of-N wall-clock trials to tolerate scheduler noise in CI.
+  // Interleaved A/B trials on thread CPU time; the drop is the median of
+  // the paired ratios, so host drift cancels out of it.
   DbServer without;
   DbServer with;
   with.set_query_log(true);
-  without.run_benchmark(10000);  // warm-up
-  with.run_benchmark(10000);
-  double base_qps = 0, logged_qps = 0;
-  for (int trial = 0; trial < 3; ++trial) {
-    base_qps = std::max(base_qps, without.run_benchmark(150000).qps);
-    logged_qps = std::max(logged_qps, with.run_benchmark(150000).qps);
-  }
+  const auto cmp = compare_throughput(without, with, 21, 10000);
+  const double base_qps = cmp.a_qps;
+  const double logged_qps = cmp.b_qps;
   EXPECT_LT(logged_qps, base_qps);
-  const double drop = 1.0 - logged_qps / base_qps;
+  const double drop = 1.0 - cmp.ratio;
   EXPECT_GT(drop, 0.03);  // a real, measurable cost
   EXPECT_LT(drop, 0.70);  // but not absurd
 }

@@ -8,6 +8,7 @@
 #include "common/byte_io.hpp"
 #include "pktgen/payloads.hpp"
 #include "pktgen/session.hpp"
+#include "pushdown_oracle.hpp"
 
 namespace netalytics::core {
 namespace {
@@ -206,35 +207,22 @@ TEST_F(EngineTest, StopAllFinishesEverything) {
   EXPECT_FALSE((*q)->results().empty());
 }
 
-TEST_F(EngineTest, AutoSamplingReactsToOverload) {
-  // SAMPLE auto + a tiny broker: when the processors lag, pump()'s
-  // feedback loop lowers the monitors' sampling rate (§4.2).
-  EngineConfig cfg;
-  cfg.broker.partition_capacity = 32;
-  cfg.feedback_high_occupancy = 0.5;
-  Emulation emu = Emulation::make_small(4);
-  NetAlytics engine(emu, cfg);
-
-  auto q = engine.submit(
-      "PARSE http_get FROM * TO h5:80 LIMIT 600s SAMPLE auto "
-      "PROCESS (top-k: k=5)",
-      0);
-  ASSERT_TRUE(q.has_value()) << q.error().to_string();
-  EXPECT_DOUBLE_EQ((*q)->sample_rate(), 1.0);
-
-  // Flood traffic between pumps so the broker fills before processors
-  // drain (pump consumes, so the backlog must be built within one tick).
-  common::Timestamp now = common::kSecond;
+/// Flood h0 -> h5:80 with `sessions` HTTP GETs per burst, pumping one tick
+/// after each burst; `url(i)` names session i's page. Stops early once the
+/// sample rate falls.
+template <typename Url>
+void flood(Emulation& emu, NetAlytics& engine, QueryHandle& q, int bursts,
+           int sessions, Url url, common::Timestamp& now) {
   int port = 20000;
-  for (int burst = 0; burst < 3 && (*q)->sample_rate() >= 1.0; ++burst) {
-    for (int i = 0; i < 400; ++i) {
+  for (int burst = 0; burst < bursts && q.sample_rate() >= 1.0; ++burst) {
+    for (int i = 0; i < sessions; ++i) {
       pktgen::SessionSpec s;
       s.flow = {*emu.ip_of_name("h0"), *emu.ip_of_name("h5"),
                 static_cast<net::Port>(port++), 80, 6};
       s.start = now;
       s.rtt = common::kMillisecond;
       s.server_latency = common::kMillisecond;
-      const auto req = pktgen::http_get_request("/flood", "h5");
+      const auto req = pktgen::http_get_request(url(i), "h5");
       const auto resp = pktgen::http_response(200, 100);
       s.request = req;
       s.response = resp;
@@ -246,8 +234,67 @@ TEST_F(EngineTest, AutoSamplingReactsToOverload) {
     now += common::kSecond + common::kMillisecond;
     engine.pump(now);
   }
+}
+
+constexpr std::string_view kAutoSampleQuery =
+    "PARSE http_get FROM * TO h5:80 LIMIT 600s SAMPLE auto "
+    "PROCESS (top-k: k=5)";
+
+EngineConfig overload_config() {
+  EngineConfig cfg;
+  cfg.broker.partition_capacity = 32;
+  cfg.feedback_high_occupancy = 0.5;
+  return cfg;
+}
+
+TEST_F(EngineTest, AutoSamplingReactsToOverload) {
+  // SAMPLE auto + a tiny broker: when the processors lag, pump()'s
+  // feedback loop lowers the monitors' sampling rate (§4.2).
+  Emulation emu = Emulation::make_small(4);
+  NetAlytics engine(emu, overload_config());
+  auto q = engine.submit(kAutoSampleQuery, 0);
+  ASSERT_TRUE(q.has_value()) << q.error().to_string();
+  EXPECT_DOUBLE_EQ((*q)->sample_rate(), 1.0);
+
+  // The monitors fold top-k records into one partial per URL per tick, so
+  // the overload is key cardinality: 600 distinct URLs a tick ship as 19
+  // batches of 32 partials, past the 16-message watermark of the 32-slot
+  // partition. The tick's partials are sampled before the processors drain.
+  common::Timestamp now = common::kSecond;
+  flood(emu, engine, **q, 3, 600,
+        [](int i) { return "/flood/" + std::to_string(i); }, now);
   EXPECT_LT((*q)->sample_rate(), 1.0);
   engine.stop_all(now);
+}
+
+TEST_F(EngineTest, AutoSamplingIgnoresSingleKeyFlood) {
+  // The load AutoSamplingReactsToOverload used to flood with — one URL,
+  // 400 sessions a tick — folds into one partial per tick, so the rate
+  // stays at 1.0 and every request is counted: the ranking equals the
+  // unpushed oracle's without sampling, and the direct tally.
+  const auto ranking = [](bool pushed, std::string_view query) {
+    Emulation emu = Emulation::make_small(4);
+    NetAlytics engine(emu, overload_config());
+    if (!pushed) PushdownOracle::disable(engine);
+    auto q = engine.submit(query, 0);
+    EXPECT_TRUE(q.has_value());
+    common::Timestamp now = common::kSecond;
+    flood(emu, engine, **q, 3, 400, [](int) { return std::string("/flood"); },
+          now);
+    const double rate = (*q)->sample_rate();
+    engine.stop_all(now);
+    return std::make_pair(rate, (*q)->latest_by_key(1));
+  };
+  const auto [rate, pushed] = ranking(true, kAutoSampleQuery);
+  EXPECT_DOUBLE_EQ(rate, 1.0);
+  const auto [oracle_rate, oracle] = ranking(
+      false,
+      "PARSE http_get FROM * TO h5:80 LIMIT 600s SAMPLE * PROCESS (top-k: k=5)");
+  EXPECT_DOUBLE_EQ(oracle_rate, 1.0);
+  EXPECT_EQ(pushed, oracle);
+  ASSERT_EQ(pushed.size(), 1u);
+  EXPECT_EQ(stream::as_str(pushed[0].at(1)), "/flood");
+  EXPECT_EQ(stream::as_u64(pushed[0].at(2)), 1200u);
 }
 
 TEST_F(EngineTest, JoinQueryEndToEnd) {

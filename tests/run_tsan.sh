@@ -7,7 +7,9 @@
 # docs/DETERMINISM.md) and the free-running executor (work-stealing
 # claims, MPMC inboxes, help-on-full backpressure, the relaxed-mode
 # multiset differentials), plus the consumer-group rebalance
-# differentials (spout groups under churn), the tiered time-series
+# differentials (spout groups under churn), the monitor-pushdown
+# differential (pushed combiners vs the unpushed oracle under both
+# executors at parallelism > 1), the tiered time-series
 # store (concurrent ingest/capture vs queries), and the executor stage
 # profiler (relaxed-atomic counter publication on the worker hot path).
 #
@@ -33,5 +35,5 @@ if [ "$#" -gt 0 ]; then
   ctest --test-dir "$build_dir" --output-on-failure "$@"
 else
   ctest --test-dir "$build_dir" --output-on-failure \
-    -R 'ConcurrentBroker|MqChaos|ProducerBatch|Producer|Monitor|ParallelStepped|ParallelExecutor|FreeRunning|GroupRebalance|TieredStore|ObsProfiler|ObsExportIntegration|FedWire|FedLink|Federation'
+    -R 'ConcurrentBroker|MqChaos|ProducerBatch|Producer|Monitor|ParallelStepped|ParallelExecutor|FreeRunning|GroupRebalance|TieredStore|ObsProfiler|ObsExportIntegration|FedWire|FedLink|Federation|PushdownDifferential'
 fi
