@@ -39,8 +39,12 @@ Monitor::Monitor(MonitorConfig config, BatchSink sink)
   records_ = &metrics_->counter(p + ".records");
   record_bytes_ = &metrics_->counter(p + ".record_bytes");
   batches_ = &metrics_->counter(p + ".batches");
-  folded_ = &metrics_->counter(p + ".folded");
-  filtered_ = &metrics_->counter(p + ".filtered");
+  if (!config_.combiners.empty()) {
+    // Only a monitor that folds registers these: every series a monitor
+    // registers is captured each tick and exported on every scrape.
+    folded_ = &metrics_->counter(p + ".folded");
+    filtered_ = &metrics_->counter(p + ".filtered");
+  }
   groups_.reserve(config_.parsers.size());
   for (const auto& spec : config_.parsers) {
     ParserGroup group;
@@ -336,8 +340,8 @@ MonitorStats Monitor::stats() const {
   s.raw_bytes = raw_bytes_->value();
   s.records = records_->value();
   s.record_bytes = record_bytes_->value();
-  s.folded = folded_->value();
-  s.filtered = filtered_->value();
+  s.folded = folded_ != nullptr ? folded_->value() : 0;
+  s.filtered = filtered_ != nullptr ? filtered_->value() : 0;
   return s;
 }
 

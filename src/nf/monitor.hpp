@@ -230,8 +230,8 @@ class Monitor {
   common::Counter* records_ = nullptr;
   common::Counter* record_bytes_ = nullptr;
   common::Counter* batches_ = nullptr;
-  common::Counter* folded_ = nullptr;
-  common::Counter* filtered_ = nullptr;
+  common::Counter* folded_ = nullptr;    // null without combiners
+  common::Counter* filtered_ = nullptr;  // null without combiners
   common::Gauge* rx_depth_ = nullptr;            // threaded mode ring depth
   common::HistogramMetric* parse_time_ = nullptr;  // wall-clock, threaded mode
 };

@@ -285,6 +285,19 @@ TEST(PushdownTenants, TopKAndIdentityShareAParser) {
   drive(engine);
   const auto report = engine.reconcile(**identity);
   EXPECT_TRUE(report.exact()) << report.render();
+  // Only the folding tenant's monitors register the pushdown counters.
+  const auto pushdown_series = [&engine](const QueryHandle& q) {
+    std::string prefix = "q";
+    prefix += std::to_string(q.id());
+    prefix += ".mon";
+    std::size_t n = 0;
+    for (const auto& c : engine.metrics().snapshot(prefix).counters) {
+      n += c.name.ends_with(".folded") || c.name.ends_with(".filtered");
+    }
+    return n;
+  };
+  EXPECT_GT(pushdown_series(**topk), 0u);
+  EXPECT_EQ(pushdown_series(**identity), 0u);
   engine.stop_all(5 * common::kSecond);
 
   Emulation alone_emu = Emulation::make_small(4);
