@@ -122,10 +122,11 @@ class ByteReader {
     return {reinterpret_cast<const char*>(s.data()), s.size()};
   }
   std::vector<std::byte> bytes() {
-    const auto n = u32();
-    const auto s = take(n);
-    return {s.begin(), s.end()};
+    const auto v = bytes_view();
+    return {v.begin(), v.end()};
   }
+  /// Like bytes(), but borrows them: valid while the input buffer is.
+  std::span<const std::byte> bytes_view() { return take(u32()); }
 
   std::size_t remaining() const noexcept { return buf_.size() - pos_; }
   bool done() const noexcept { return remaining() == 0; }

@@ -277,7 +277,7 @@ common::Expected<QueryHandle*> NetAlytics::submit(std::string_view text,
   if (!plan) return plan.error();
 
   auto handle = std::make_unique<QueryHandle>();
-  handle->id_ = next_query_id_++;
+  handle->id_ = next_query_id_;  // consumed only if the query deploys
   handle->plan_ = std::move(*plan);
   handle->start_time = now;
   handle->last_tick = now;
@@ -309,8 +309,13 @@ common::Expected<QueryHandle*> NetAlytics::submit(std::string_view text,
           .sample_denominator = config_.trace_sample_denominator,
           .capacity_per_thread = config_.trace_span_capacity});
 
+  // Every processor spec is built and checked before anything deploys: a
+  // rejected parameter leaves no monitor, mirror rule or query behind.
+  auto specs = build_processors(*handle);
+  if (!specs) return specs.error();
+  ++next_query_id_;
   deploy_monitors(*handle, now);
-  build_processors(*handle);
+  start_processors(*handle, std::move(*specs));
   queries_submitted_->inc();
 
   common::log_info("engine", "query ", handle->id_, " deployed: ",
@@ -399,7 +404,9 @@ void NetAlytics::deploy_monitors(QueryHandle& q, common::Timestamp now) {
   }
 }
 
-void NetAlytics::build_processors(QueryHandle& q) {
+common::Expected<std::vector<stream::TopologySpec>> NetAlytics::build_processors(
+    QueryHandle& q) {
+  std::vector<stream::TopologySpec> specs;
   QueryHandle* qp = &q;
   for (std::size_t i = 0; i < q.plan_.processors.size(); ++i) {
     const auto& call = q.plan_.processors[i];
@@ -462,18 +469,27 @@ void NetAlytics::build_processors(QueryHandle& q) {
     }
     stream::ProcessorParams params;
     params.args = call.args;
+    // Semantic analysis checked names and topics; a processor's own
+    // parameters (a top-k field outside the schema, say) are checked here.
     auto spec = stream::build_processor(call.name, params, ctx);
-    // Semantic analysis pre-validated names/topics; a failure here is a
-    // programming error in the processor library.
-    const stream::ExecutorConfig exec{
-        .workers = config_.executor_workers != 0 ? config_.executor_workers
-                                                 : config_.processor_parallelism,
-        .mode = config_.executor_mode,
-        .inbox_capacity = config_.executor_inbox_capacity,
-        .profile = config_.executor_profiler};
-    q.topologies.push_back(
-        stream::make_executor(std::move(spec.value()), exec));
-    q.topologies.back()->bind_metrics(metrics_, ctx.metrics_prefix);
+    if (!spec) return spec.error();
+    specs.push_back(std::move(*spec));
+  }
+  return specs;
+}
+
+void NetAlytics::start_processors(QueryHandle& q,
+                                  std::vector<stream::TopologySpec> specs) {
+  const stream::ExecutorConfig exec{
+      .workers = config_.executor_workers != 0 ? config_.executor_workers
+                                               : config_.processor_parallelism,
+      .mode = config_.executor_mode,
+      .inbox_capacity = config_.executor_inbox_capacity,
+      .profile = config_.executor_profiler};
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    q.topologies.push_back(stream::make_executor(std::move(specs[i]), exec));
+    q.topologies.back()->bind_metrics(
+        metrics_, q.metrics_prefix_ + ".proc" + std::to_string(i));
     q.topologies.back()->bind_trace(q.recorder_.get());
   }
 }

@@ -384,7 +384,12 @@ class NetAlytics {
 
  private:
   void deploy_monitors(QueryHandle& q, common::Timestamp now);
-  void build_processors(QueryHandle& q);
+  /// Build and check every processor's topology spec. Touches nothing
+  /// outside `q`, so a rejected spec leaves the engine as it was.
+  common::Expected<std::vector<stream::TopologySpec>> build_processors(
+      QueryHandle& q);
+  /// Start one executor per spec built by build_processors.
+  void start_processors(QueryHandle& q, std::vector<stream::TopologySpec> specs);
   /// `occupancy` is the pre-drain aggregation-buffer pressure.
   void apply_feedback(QueryHandle& q, double occupancy);
   /// Stamp the e2e stage for the results delivered since the last call.

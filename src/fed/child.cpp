@@ -3,27 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <utility>
-#include <variant>
 
 namespace netalytics::fed {
-
-namespace {
-
-nf::Record to_record(const stream::Tuple& t, common::Timestamp now) {
-  nf::Record r;
-  r.topic = "fed";
-  r.id = 0;  // results are post-analytics rows, not flow-keyed packets
-  r.timestamp = now;
-  r.fields.reserve(t.values.size());
-  for (const auto& v : t.values) {
-    r.fields.push_back(
-        std::visit([](const auto& x) { return nf::FieldValue(x); }, v));
-  }
-  r.trace = t.trace;
-  return r;
-}
-
-}  // namespace
 
 ChildNode::ChildNode(core::NetAlytics& engine, const core::QueryHandle& query,
                      Link& link, ChildConfig cfg)
@@ -142,21 +123,18 @@ void ChildNode::collect_records(common::Timestamp now) {
   const auto fresh = query_.results_since(results_cursor_);
   if (fresh.empty()) return;
   results_cursor_ += fresh.size();
-  std::size_t i = 0;
-  while (i < fresh.size()) {
+  for (std::size_t i = 0; i < fresh.size(); i += cfg_.records_per_frame) {
     const std::size_t n = std::min(cfg_.records_per_frame, fresh.size() - i);
-    RecordsFrame rf{.offset = next_offset_, .tick = now, .records = {}};
-    rf.records.reserve(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      rf.records.push_back(to_record(fresh[i + j], now));
+    records_.begin(next_offset_, now);
+    for (const stream::Tuple& t : fresh.subspan(i, n)) {
+      records_.add(t.values, t.trace);
     }
     replay_.push_back(PendingFrame{.offset = next_offset_,
                                    .count = n,
                                    .sent_once = false,
-                                   .bytes = encode(rf)});
+                                   .bytes = records_.finish()});
     next_offset_ += n;
     stats_.records_streamed += n;
-    i += n;
   }
   // Bounded buffer: shed oldest frames, charge the overflow counters. This
   // is the one place federation gives up exactness (reconcile reports it).

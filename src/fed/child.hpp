@@ -4,9 +4,10 @@
 // state (METRICS frames, absolute values) to the parent over a Link.
 //
 // Reliability model, rrdpush-lineage:
-//   - every collected result enters a bounded replay buffer of encoded
-//     RECORDS frames; entries leave only when the parent's cumulative ACK
-//     covers them (or the buffer overflows, which is counted, not hidden);
+//   - every collected result is encoded straight into a RECORDS frame
+//     (RecordsEncoder), and the frames enter a bounded replay buffer;
+//     entries leave only when the parent's cumulative ACK covers them (or
+//     the buffer overflows, which is counted, not hidden);
 //   - a failed send or a dead link moves the child to reconnecting state:
 //     it retries connect() with exponential backoff, re-handshakes
 //     (HELLO -> WELCOME), and replays every buffered frame beyond the
@@ -118,6 +119,7 @@ class ChildNode {
   common::Timestamp reconnect_at_ = 0;  // next connect attempt when backoff
   common::Duration backoff_ = 0;
   FrameParser parser_;  // parent -> child stream
+  RecordsEncoder records_;  // frames results, reused across frames
 
   std::size_t results_cursor_ = 0;    // results() consumed so far
   std::uint64_t next_offset_ = 0;     // == records framed so far

@@ -1,6 +1,8 @@
 #include "fed/parent.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <variant>
@@ -12,13 +14,36 @@ namespace netalytics::fed {
 
 namespace {
 
-std::string key_of(const nf::Record& r, std::size_t field) {
-  if (field >= r.fields.size()) return "<missing>";
-  return stream::format_value(std::visit(
-      [](const auto& x) { return stream::Value(x); }, r.fields[field]));
+/// The fan-in key of one record: a string field by view, anything else
+/// formatted into `scratch` (stream::format_value, as a tuple renders it).
+std::string_view key_of(std::span<const nf::FieldValue> row, std::size_t field,
+                        std::string& scratch) {
+  if (field >= row.size()) return "<missing>";
+  if (const auto* s = std::get_if<std::string>(&row[field])) return *s;
+  scratch = stream::format_value(row[field]);
+  return scratch;
 }
 
 }  // namespace
+
+void ParentNode::Rows::begin(std::size_t /*records*/) {
+  fields_.clear();
+  starts_.clear();
+}
+
+std::vector<nf::FieldValue>& ParentNode::Rows::record(
+    std::string_view /*topic*/, std::uint64_t /*id*/,
+    common::Timestamp /*timestamp*/, std::size_t /*field_count*/) {
+  starts_.push_back(fields_.size());
+  return fields_;
+}
+
+std::span<const nf::FieldValue> ParentNode::Rows::row(
+    std::size_t i) const noexcept {
+  const std::size_t end = i + 1 < starts_.size() ? starts_[i + 1] : fields_.size();
+  return std::span<const nf::FieldValue>(fields_).subspan(starts_[i],
+                                                          end - starts_[i]);
+}
 
 ParentNode::ParentNode(std::vector<Link*> links, ParentConfig cfg)
     : cfg_(std::move(cfg)),
@@ -44,9 +69,15 @@ void ParentNode::pump(common::Timestamp now) {
     if (!slot.link->connected()) slot.stats.connected = false;
     const auto bytes = slot.link->drain_up();
     if (!bytes.empty()) slot.parser.feed(bytes);
-    while (auto frame = slot.parser.next()) {
-      apply_frame(i, *frame, now);
-      if (!slot.link->connected()) break;  // refused HELLO dropped the link
+    try {
+      while (auto frame = slot.parser.next()) {
+        apply_frame(i, *frame, now);
+        if (!slot.link->connected()) break;  // refused HELLO dropped the link
+      }
+    } catch (const std::out_of_range&) {
+      // The parser and every decoder report corrupt bytes this way, and
+      // each frame is decoded whole before it is applied.
+      quarantine(i);
     }
     if (slot.stats.connected && slot.stats.applied != slot.last_acked) {
       const Ack ack{.child_index = static_cast<std::uint32_t>(i),
@@ -83,12 +114,11 @@ void ParentNode::apply_frame(std::size_t child, const Frame& frame,
       return;
     }
     case MsgType::records:
-      slot.stats.record_frames += 1;
       apply_records(child, decode_records(frame.payload));
       return;
     case MsgType::metrics:
-      slot.stats.metrics_frames += 1;
       apply_metrics(child, decode_metrics(frame.payload));
+      slot.stats.metrics_frames += 1;
       return;
     case MsgType::bye: {
       (void)decode_bye(frame.payload);
@@ -101,29 +131,46 @@ void ParentNode::apply_frame(std::size_t child, const Frame& frame,
   }
 }
 
-void ParentNode::apply_records(std::size_t child, const RecordsFrame& rf) {
+void ParentNode::apply_records(std::size_t child, const RecordsView& rv) {
+  nf::read_batch(rv.batch, rows_);  // throws before anything is applied
+  const std::uint64_t n = rows_.size();
+  if (rv.offset > std::numeric_limits<std::uint64_t>::max() - n) {
+    throw std::out_of_range("fed::ParentNode: RECORDS offset overflows");
+  }
   Slot& slot = slots_[child];
-  const std::uint64_t end = rf.offset + rf.records.size();
+  slot.stats.record_frames += 1;
+  const std::uint64_t end = rv.offset + n;
   if (end <= slot.stats.applied) {
     // Whole frame below the watermark: a replay or duplicated frame.
-    slot.stats.duplicate_records += rf.records.size();
+    slot.stats.duplicate_records += n;
     return;
   }
-  if (rf.offset > slot.stats.applied) {
+  if (rv.offset > slot.stats.applied) {
     // Offset gap: the child overflowed its replay buffer and shed frames
     // it could no longer replicate. Charge the loss; exactness for these
     // records is given up (and visible in reconcile()).
-    slot.stats.lost_records += rf.offset - slot.stats.applied;
+    slot.stats.lost_records += rv.offset - slot.stats.applied;
   } else {
-    slot.stats.duplicate_records += slot.stats.applied - rf.offset;
+    slot.stats.duplicate_records += slot.stats.applied - rv.offset;
   }
-  const std::uint64_t start = std::max(rf.offset, slot.stats.applied);
-  for (std::size_t i = start - rf.offset; i < rf.records.size(); ++i) {
-    const nf::Record& r = rf.records[i];
-    fanin_.add(child, key_of(r, cfg_.key_field), 1);
-    slot.records.push_back(r);
+  const std::uint64_t start = std::max(rv.offset, slot.stats.applied);
+  for (std::size_t i = start - rv.offset; i < n; ++i) {
+    const auto row = rows_.row(i);
+    fanin_.add(child, key_of(row, cfg_.key_field, key_), 1);
+    if (observer_) [[unlikely]] observer_(child, row);
   }
   slot.stats.applied = end;
+}
+
+void ParentNode::quarantine(std::size_t child) {
+  Slot& slot = slots_[child];
+  slot.stats.corrupt_frames += 1;
+  slot.stats.connected = false;
+  slot.parser.reset();  // the rest of this connection's bytes are suspect
+  slot.link->drop();
+  // Registered on first use, so a clean fleet carries no always-zero series.
+  registry_.counter("fleet.child" + std::to_string(child) + ".fed.corrupt_frames")
+      .inc();
 }
 
 void ParentNode::apply_metrics(std::size_t child, const MetricsFrame& mf) {
@@ -140,14 +187,6 @@ void ParentNode::apply_metrics(std::size_t child, const MetricsFrame& mf) {
   for (const auto& g : mf.gauges) {
     registry_.gauge(prefix + g.name).set(g.value);
   }
-}
-
-std::vector<nf::Record> ParentNode::all_records() const {
-  std::vector<nf::Record> out;
-  for (const auto& slot : slots_) {
-    out.insert(out.end(), slot.records.begin(), slot.records.end());
-  }
-  return out;
 }
 
 std::uint64_t ParentNode::total_records_applied() const noexcept {

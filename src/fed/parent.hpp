@@ -6,6 +6,16 @@
 // historical store, so export_metrics()/query_range() see the whole fleet
 // through the same read APIs a single engine offers.
 //
+// Memory: the parent keeps no record log. Each RECORDS frame is decoded
+// once into reused scratch and its applied records' keys go straight into
+// the fan-in; per child it keeps its frame parser, counters, watermark and
+// fan-in key tallies.
+//
+// Totality: a frame that fails to parse or decode never escapes pump().
+// The child that sent it is quarantined — its link dropped, nothing of the
+// frame applied, `corrupt_frames` charged — and its reconnect plus WELCOME
+// gap replication recover the stream.
+//
 // Determinism: pump() walks children in child-index order and applies each
 // child's frames in arrival order (the Link preserves per-connection
 // ordering), so parent state is a pure function of the per-child byte
@@ -14,6 +24,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,6 +64,9 @@ struct ParentChildStats {
   std::uint64_t handshakes = 0;    // WELCOMEs sent
   std::uint64_t refused = 0;       // HELLOs rejected (magic/version/index)
   std::uint64_t byes = 0;
+  /// Frames that failed to parse or decode; each quarantined the child
+  /// (fleet counter "fleet.child<i>.fed.corrupt_frames").
+  std::uint64_t corrupt_frames = 0;
 };
 
 class ParentNode {
@@ -70,12 +85,6 @@ class ParentNode {
   std::string render_top_k() const { return fanin_.render(); }
   const stream::FanInTopK& top_k() const noexcept { return fanin_; }
 
-  /// Applied records of one child, in offset order.
-  const std::vector<nf::Record>& records(std::size_t child) const {
-    return slots_.at(child).records;
-  }
-  /// Every applied record, children concatenated in index order.
-  std::vector<nf::Record> all_records() const;
   std::uint64_t total_records_applied() const noexcept;
 
   /// Prometheus text exposition of the fleet registry (fleet.child<i>.*
@@ -93,22 +102,49 @@ class ParentNode {
   const ParentConfig& config() const noexcept { return cfg_; }
 
  private:
+  friend struct ParentOracle;  // tests/fed/parent_oracle.hpp
+
   struct Slot {
     Link* link = nullptr;
     FrameParser parser;
     std::uint64_t seen_connects = 0;  // link epoch; reset parser on change
     std::uint64_t last_acked = 0;     // watermark last sent in an ACK
-    std::vector<nf::Record> records;
     ParentChildStats stats;
+  };
+
+  /// One RECORDS batch decoded whole, before any of it is applied: every
+  /// record's fields back to back. Reused across frames.
+  class Rows final : public nf::BatchVisitor {
+   public:
+    void begin(std::size_t records) override;
+    std::vector<nf::FieldValue>& record(std::string_view topic,
+                                        std::uint64_t id,
+                                        common::Timestamp timestamp,
+                                        std::size_t field_count) override;
+    void trace(std::size_t, std::uint64_t) override {}
+
+    std::size_t size() const noexcept { return starts_.size(); }
+    std::span<const nf::FieldValue> row(std::size_t i) const noexcept;
+
+   private:
+    std::vector<nf::FieldValue> fields_;
+    std::vector<std::size_t> starts_;  // row i begins at fields_[starts_[i]]
   };
 
   void apply_frame(std::size_t child, const Frame& frame,
                    common::Timestamp now);
-  void apply_records(std::size_t child, const RecordsFrame& rf);
+  void apply_records(std::size_t child, const RecordsView& rv);
   void apply_metrics(std::size_t child, const MetricsFrame& mf);
+  /// Isolate a child whose stream carried a corrupt frame.
+  void quarantine(std::size_t child);
 
   ParentConfig cfg_;
   std::vector<Slot> slots_;
+  Rows rows_;
+  std::string key_;  // a non-string key, formatted
+  /// Test seam (ParentOracle): sees every applied record's fields.
+  std::function<void(std::size_t child, std::span<const nf::FieldValue> row)>
+      observer_;
   stream::FanInTopK fanin_;
   common::MetricsRegistry registry_;  // fleet.child<i>.* series
   tsdb::TieredStore store_;

@@ -1,5 +1,6 @@
 #include "fed/wire.hpp"
 
+#include <cstring>
 #include <stdexcept>
 
 #include "common/byte_io.hpp"
@@ -18,6 +19,13 @@ std::vector<std::byte> frame(MsgType type, const common::ByteWriter& body) {
   const auto view = body.view();
   bytes.insert(bytes.end(), view.begin(), view.end());
   return bytes;
+}
+
+/// Store `v` at `p` in ByteWriter's byte order; returns the next byte.
+template <typename T>
+std::byte* put(std::byte* p, T v) noexcept {
+  std::memcpy(p, &v, sizeof v);
+  return p + sizeof v;
 }
 
 }  // namespace
@@ -113,21 +121,45 @@ MetricsFrame decode_metrics(std::span<const std::byte> payload) {
   return m;
 }
 
-std::vector<std::byte> encode(const RecordsFrame& m) {
-  common::ByteWriter w;
-  w.u64(m.offset);
-  w.u64(m.tick);
-  w.bytes(nf::serialize_batch(m.records));
-  return frame(MsgType::records, w);
+RecordsEncoder::RecordsEncoder() : batch_("fed") {}
+
+void RecordsEncoder::begin(std::uint64_t offset, common::Timestamp tick) {
+  batch_.clear();
+  offset_ = offset;
+  tick_ = tick;
 }
 
-RecordsFrame decode_records(std::span<const std::byte> payload) {
+void RecordsEncoder::add(std::span<const nf::FieldValue> values,
+                         std::uint64_t trace) {
+  views_.clear();
+  for (const nf::FieldValue& v : values) views_.push_back(nf::view_of(v));
+  batch_.add({.topic = {}, .id = 0, .timestamp = tick_, .fields = views_,
+              .trace = trace});
+}
+
+std::vector<std::byte> RecordsEncoder::finish() const {
+  // [u32 len][u8 type] [u64 offset][u64 tick][u32 batch_len][batch]
+  constexpr std::size_t kHeader = 4 + 1 + 8 + 8 + 4;
+  const std::size_t batch_bytes = batch_.encoded_size();
+  std::vector<std::byte> out;
+  out.reserve(kHeader + batch_bytes);
+  out.resize(kHeader);
+  std::byte* p = out.data();
+  p = put(p, static_cast<std::uint32_t>(kHeader - 4 + batch_bytes));
+  p = put(p, MsgType::records);
+  p = put(p, offset_);
+  p = put(p, tick_);
+  put(p, static_cast<std::uint32_t>(batch_bytes));
+  batch_.encode_to(out);
+  return out;
+}
+
+RecordsView decode_records(std::span<const std::byte> payload) {
   common::ByteReader r(payload);
-  RecordsFrame m;
+  RecordsView m;
   m.offset = r.u64();
   m.tick = r.u64();
-  const auto batch = r.bytes();
-  m.records = nf::deserialize_batch(batch);
+  m.batch = r.bytes_view();
   return m;
 }
 
@@ -187,11 +219,9 @@ std::optional<Frame> FrameParser::next() {
       raw_type > static_cast<std::uint8_t>(MsgType::bye)) {
     throw std::out_of_range("fed::FrameParser: unknown message type");
   }
-  Frame f;
-  f.type = static_cast<MsgType>(raw_type);
-  f.payload.assign(avail.begin() + 5, avail.begin() + 4 + len);
   pos_ += 4 + static_cast<std::size_t>(len);
-  return f;
+  return Frame{.type = static_cast<MsgType>(raw_type),
+               .payload = avail.subspan(5, len - 1)};
 }
 
 void FrameParser::reset() noexcept {

@@ -8,8 +8,11 @@
 // The length prefix covers the type byte, so a FrameParser can reassemble
 // frames from arbitrarily-fragmented byte input. Payload fields are
 // little-endian via common::ByteWriter/ByteReader; RECORDS payloads embed
-// nf::serialize_batch output, so trace ids ride the wire in the same
-// compact trailer they use inside a monitor.
+// an nf record batch (nf::BatchEncoder's layout), so trace ids ride the
+// wire in the same compact trailer they use inside a monitor. RECORDS move
+// bytes, not objects: RecordsEncoder writes result rows straight into the
+// frame, and decode_records hands back a view of the batch for
+// nf::read_batch.
 //
 // Exactness model: RECORDS frames are replicated by *record offset* (the
 // 0-based index of a record in the child's result stream), not by frame
@@ -111,16 +114,40 @@ struct MetricsFrame {
   bool operator==(const MetricsFrame&) const = default;
 };
 
-/// Child -> parent: a batch of result records. `offset` is the 0-based
-/// index of records.front() in the child's result stream; the parent
-/// applies the suffix beyond its high watermark and discards the rest as
-/// duplicates, which makes replay with different batch boundaries exact.
-struct RecordsFrame {
+/// Child -> parent: a batch of result records, as decoded from a RECORDS
+/// payload. `offset` is the 0-based index of the batch's first record in
+/// the child's result stream; the parent applies the suffix beyond its
+/// high watermark and discards the rest as duplicates, which makes replay
+/// with different batch boundaries exact. `batch` borrows the payload's
+/// record batch; nf::read_batch decodes it.
+struct RecordsView {
   std::uint64_t offset = 0;
   common::Timestamp tick = 0;
-  std::vector<nf::Record> records;
+  std::span<const std::byte> batch;
+};
 
-  bool operator==(const RecordsFrame&) const = default;
+/// The RECORDS writer: frames result rows into RECORDS frames. Each row is
+/// encoded as it is added, through one reused nf::BatchEncoder (topic
+/// "fed", id 0, timestamp = the frame's tick; results are post-analytics
+/// rows, not flow-keyed packets), and finish() writes the frame header
+/// around the batch in one exactly-sized buffer.
+class RecordsEncoder {
+ public:
+  RecordsEncoder();
+
+  /// Start a frame (dropping any rows added before) whose first record
+  /// has result offset `offset`.
+  void begin(std::uint64_t offset, common::Timestamp tick);
+  /// Append one row. `trace` nonzero rides the batch's trace trailer.
+  void add(std::span<const nf::FieldValue> values, std::uint64_t trace);
+  /// The complete frame around the rows added since begin().
+  std::vector<std::byte> finish() const;
+
+ private:
+  nf::BatchEncoder batch_;
+  std::vector<nf::FieldView> views_;  // one row's values, reused
+  std::uint64_t offset_ = 0;
+  common::Timestamp tick_ = 0;
 };
 
 /// Parent -> child: cumulative record high watermark. The child drops
@@ -146,31 +173,34 @@ struct Bye {
 std::vector<std::byte> encode(const Hello& m);
 std::vector<std::byte> encode(const Welcome& m);
 std::vector<std::byte> encode(const MetricsFrame& m);
-std::vector<std::byte> encode(const RecordsFrame& m);
 std::vector<std::byte> encode(const Ack& m);
 std::vector<std::byte> encode(const Bye& m);
 
 // ---- Decoding: payload (without length prefix / type byte) -> message ------
-// All throw std::out_of_range on truncated or malformed payloads.
+// All throw std::out_of_range on truncated or malformed payloads, and only
+// that: a receiver catches it to isolate the peer that sent the bytes.
 
 Hello decode_hello(std::span<const std::byte> payload);
 Welcome decode_welcome(std::span<const std::byte> payload);
 MetricsFrame decode_metrics(std::span<const std::byte> payload);
-RecordsFrame decode_records(std::span<const std::byte> payload);
+/// The batch bytes are not decoded here (nf::read_batch does that); the
+/// view is valid as long as `payload` is.
+RecordsView decode_records(std::span<const std::byte> payload);
 Ack decode_ack(std::span<const std::byte> payload);
 Bye decode_bye(std::span<const std::byte> payload);
 
-/// One reassembled frame: the type byte plus its payload bytes.
+/// One reassembled frame: the type byte plus its payload bytes, borrowed
+/// from the FrameParser's buffer — valid until its next feed() or reset().
 struct Frame {
   MsgType type = MsgType::hello;
-  std::vector<std::byte> payload;
+  std::span<const std::byte> payload;
 };
 
 /// Incremental frame reassembly over an arbitrarily-fragmented byte
 /// stream: feed() appends whatever arrived, next() yields one complete
-/// frame at a time (std::nullopt while incomplete). reset() discards any
-/// partial frame — called when the transport drops, since a new
-/// connection restarts framing from a frame boundary.
+/// frame at a time (std::nullopt while incomplete) without copying its
+/// payload. reset() discards any partial frame — called when the transport
+/// drops, since a new connection restarts framing from a frame boundary.
 class FrameParser {
  public:
   void feed(std::span<const std::byte> bytes);

@@ -162,20 +162,28 @@ void BatchEncoder::add(const RecordView& r) {
 }
 
 std::vector<std::byte> BatchEncoder::encode() const {
-  const std::size_t trailer =
-      traces_.empty() ? 0 : 4 + traces_.size() * (4 + 8);
   std::vector<std::byte> out;
-  out.reserve(bytes_.size() + trailer);  // exact: the broker retains it
-  out.assign(bytes_.begin(), bytes_.end());
-  out.resize(bytes_.size() + trailer);
-  put(out.data() + header_size_ - 4, records_);
+  out.reserve(encoded_size());  // exact: the broker retains it
+  encode_to(out);
+  return out;
+}
+
+std::size_t BatchEncoder::encoded_size() const noexcept {
+  return bytes_.size() + (traces_.empty() ? 0 : 4 + traces_.size() * (4 + 8));
+}
+
+void BatchEncoder::encode_to(std::vector<std::byte>& out) const {
+  const std::size_t at = out.size();
+  out.insert(out.end(), bytes_.begin(), bytes_.end());
+  out.resize(at + encoded_size());
+  std::byte* payload = out.data() + at;
+  put(payload + header_size_ - 4, records_);
   if (!traces_.empty()) {
-    out[0] |= std::byte{kTraceTrailerFlag};
-    std::byte* p = put(out.data() + bytes_.size(),
+    payload[0] |= std::byte{kTraceTrailerFlag};
+    std::byte* p = put(payload + bytes_.size(),
                        static_cast<std::uint32_t>(traces_.size()));
     for (const auto& [index, trace] : traces_) p = put(put(p, index), trace);
   }
-  return out;
 }
 
 void BatchEncoder::clear() noexcept {

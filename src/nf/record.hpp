@@ -8,7 +8,7 @@
 // Two forms: parsers emit a borrowed RecordView, which the output interface
 // encodes once, at emit, straight into the open batch (BatchEncoder — the
 // format's one writer). Record is the owned, decoded form a batch reads back
-// into (deserialize_batch, the federation wire, VectorSink).
+// into (deserialize_batch, VectorSink).
 #pragma once
 
 #include <cstdint>
@@ -84,6 +84,11 @@ class BatchEncoder {
   /// in, trace trailer appended when any record is traced. The staging
   /// buffer is left as it was.
   std::vector<std::byte> encode() const;
+  /// Size of the payload encode() returns.
+  std::size_t encoded_size() const noexcept;
+  /// Append the finished payload to `out`, so a caller can frame it without
+  /// a second copy (the federation RECORDS writer).
+  void encode_to(std::vector<std::byte>& out) const;
 
   /// Empty the batch for reuse; the staging buffer keeps its capacity.
   void clear() noexcept;

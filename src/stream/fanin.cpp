@@ -11,14 +11,19 @@ FanInTopK::FanInTopK(std::size_t sources, std::size_t k)
   }
 }
 
-void FanInTopK::add(std::size_t source, const std::string& key,
+void FanInTopK::add(std::size_t source, std::string_view key,
                     std::uint64_t by) {
-  counts_.at(source)[key] += by;
+  Counts& counts = counts_.at(source);
+  const auto it = counts.lower_bound(key);
+  if (it != counts.end() && it->first == key) {
+    it->second += by;
+  } else {
+    counts.emplace_hint(it, key, by);
+  }
   updates_ += 1;
 }
 
-const std::map<std::string, std::uint64_t>& FanInTopK::local(
-    std::size_t source) const {
+const FanInTopK::Counts& FanInTopK::local(std::size_t source) const {
   return counts_.at(source);
 }
 

@@ -10,6 +10,7 @@
 #include <deque>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "stream/topology.hpp"
@@ -26,12 +27,16 @@ namespace netalytics::stream {
 /// independently.
 class FanInTopK {
  public:
+  /// Per-source totals; the transparent comparator lets add() look a key
+  /// up by view, so a key is copied only the first time a source sees it.
+  using Counts = std::map<std::string, std::uint64_t, std::less<>>;
+
   FanInTopK(std::size_t sources, std::size_t k);
 
-  void add(std::size_t source, const std::string& key, std::uint64_t by = 1);
+  void add(std::size_t source, std::string_view key, std::uint64_t by = 1);
 
   /// Per-source totals (exact, not truncated to k).
-  const std::map<std::string, std::uint64_t>& local(std::size_t source) const;
+  const Counts& local(std::size_t source) const;
 
   /// Global top-k over the summed totals.
   Rankings global() const;
@@ -43,7 +48,7 @@ class FanInTopK {
   std::uint64_t total_updates() const noexcept { return updates_; }
 
  private:
-  std::vector<std::map<std::string, std::uint64_t>> counts_;
+  std::vector<Counts> counts_;
   std::size_t k_;
   std::uint64_t updates_ = 0;
 };

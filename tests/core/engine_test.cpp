@@ -50,6 +50,35 @@ TEST_F(EngineTest, SubmitRejectsBadQueries) {
   EXPECT_TRUE(engine_.queries().empty());
 }
 
+// A processor that rejects its parameters fails the submit before anything
+// deploys: no monitor, mirror rule or query of it is left behind.
+TEST_F(EngineTest, SubmitWithBadProcessorParamsDeploysNothing) {
+  const auto rules = [this] {
+    std::size_t n = 0;
+    for (const auto tor : emu_.topology().tor_switches()) {
+      n += emu_.switch_of_tor(tor).table().size();
+    }
+    return n;
+  };
+  const std::size_t rules_before = rules();
+  const auto bad = engine_.submit(
+      "PARSE http_get FROM * TO h5:80 LIMIT 60s PROCESS (top-k: field=nope)", 0);
+  ASSERT_FALSE(bad.has_value());
+  EXPECT_NE(bad.error().to_string().find("nope"), std::string::npos)
+      << bad.error().to_string();
+  EXPECT_EQ(rules(), rules_before);
+  EXPECT_EQ(engine_.orchestrator().count(), 0u);
+  EXPECT_TRUE(engine_.queries().empty());
+
+  // The engine is unharmed: the next query deploys, under the unused id.
+  const auto good = engine_.submit(
+      "PARSE http_get FROM * TO h5:80 LIMIT 60s PROCESS (top-k: k=3)", 0);
+  ASSERT_TRUE(good.has_value()) << good.error().to_string();
+  EXPECT_EQ((*good)->id(), 1u);
+  EXPECT_GT(rules(), rules_before);
+  EXPECT_GT(engine_.orchestrator().count(), 0u);
+}
+
 TEST_F(EngineTest, TopKEndToEnd) {
   auto q = engine_.submit(
       "PARSE http_get FROM * TO h5:80 LIMIT 60s SAMPLE * "

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 
+#include "parent_oracle.hpp"
 #include "pktgen/payloads.hpp"
 #include "pktgen/session.hpp"
 #include "stream/tuple.hpp"
@@ -40,19 +41,9 @@ void http_session(core::Emulation& emu, int port, common::Timestamp start,
       });
 }
 
-std::string fields_key(const nf::Record& r) {
+std::string fields_key(std::span<const stream::Value> values) {
   std::string out;
-  for (const auto& f : r.fields) {
-    out += stream::format_value(
-        std::visit([](const auto& x) { return stream::Value(x); }, f));
-    out += '|';
-  }
-  return out;
-}
-
-std::string fields_key(const stream::Tuple& t) {
-  std::string out;
-  for (const auto& v : t.values) {
+  for (const auto& v : values) {
     out += stream::format_value(v);
     out += '|';
   }
@@ -113,6 +104,8 @@ ParentCapture run_federated(std::size_t workers) {
   cfg.key_field = 3;
   cfg.top_k = 8;
   Federation fed(cfg, &plan);
+  RecordLog log;
+  ParentOracle::record(fed.parent(), log);
   EXPECT_TRUE(fed.submit(kQuery, 0).has_value());
   for (std::size_t i = 0; i < kChildren; ++i) {
     inject_slice(fed.emulation(i), i);
@@ -158,10 +151,18 @@ ParentCapture run_federated(std::size_t workers) {
     }
   }
 
-  ParentCapture cap;
-  for (const auto& r : fed.parent().all_records()) {
-    cap.record_rows.push_back(fields_key(r));
+  // Each child's fan-in tally is exactly its own results' key column:
+  // replays, duplicates and the restart were each counted once.
+  for (std::size_t i = 0; i < kChildren; ++i) {
+    stream::FanInTopK::Counts tally;
+    for (const auto& t : fed.query(i)->results()) {
+      tally[stream::format_value(t.at(cfg.key_field))] += 1;
+    }
+    EXPECT_EQ(fed.parent().top_k().local(i), tally) << "child " << i;
   }
+
+  ParentCapture cap;
+  for (const auto& row : log.all()) cap.record_rows.push_back(fields_key(row));
   cap.top_k = fed.render_top_k();
   cap.metrics = fed.export_metrics();
   cap.reconcile = report.render();
@@ -183,7 +184,7 @@ std::vector<std::string> run_oracle() {
   }
   EXPECT_TRUE(engine.reconcile(**q).exact());
   std::vector<std::string> rows;
-  for (const auto& t : (*q)->results()) rows.push_back(fields_key(t));
+  for (const auto& t : (*q)->results()) rows.push_back(fields_key(t.values));
   std::sort(rows.begin(), rows.end());
   return rows;
 }

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 
+#include "common/byte_io.hpp"
+#include "parent_oracle.hpp"
 #include "pktgen/payloads.hpp"
 #include "pktgen/session.hpp"
 #include "stream/tuple.hpp"
@@ -40,24 +43,16 @@ void http_session(core::Emulation& emu, int port, common::Timestamp start,
 
 /// Canonical string of one record's fields (transport-independent view:
 /// topic/id/timestamp are streaming artifacts and excluded on purpose).
-std::string fields_key(const nf::Record& r) {
+std::string fields_key(std::span<const stream::Value> values) {
   std::string out;
-  for (const auto& f : r.fields) {
-    out += stream::format_value(
-        std::visit([](const auto& x) { return stream::Value(x); }, f));
-    out += '|';
-  }
-  return out;
-}
-
-std::string fields_key(const stream::Tuple& t) {
-  std::string out;
-  for (const auto& v : t.values) {
+  for (const auto& v : values) {
     out += stream::format_value(v);
     out += '|';
   }
   return out;
 }
+
+std::string fields_key(const stream::Tuple& t) { return fields_key(t.values); }
 
 /// Sorted multiset view of a record/tuple collection's field rows.
 template <typename Range>
@@ -78,6 +73,8 @@ core::FederationConfig small_config(std::size_t children) {
 
 TEST(Federation, StreamsEveryChildResultToTheParentExactly) {
   Federation fed(small_config(2));
+  RecordLog log;
+  ParentOracle::record(fed.parent(), log);
   ASSERT_TRUE(fed.submit(kQuery, 0).has_value());
 
   // Disjoint slices: child 0 serves /a twice and /hot once; child 1
@@ -111,7 +108,7 @@ TEST(Federation, StreamsEveryChildResultToTheParentExactly) {
   }
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(fed.parent().total_records_applied(), results);
-  EXPECT_EQ(field_multiset(fed.parent().all_records()), expected);
+  EXPECT_EQ(field_multiset(log.all()), expected);
 
   // The global top-k equals a direct tally of the union, summed across
   // children (FanInTopK semantics).
@@ -179,6 +176,8 @@ TEST(Federation, ReplayOverflowUnderOutageIsCountedNotHidden) {
   down.window_end = 7 * common::kSecond;
   plan.arm("fed.link.0.down", down);
   Federation fed(cfg, &plan);
+  RecordLog log;
+  ParentOracle::record(fed.parent(), log);
   ASSERT_TRUE(fed.submit(kQuery, 0).has_value());
 
   for (int i = 0; i < 6; ++i) {
@@ -204,7 +203,7 @@ TEST(Federation, ReplayOverflowUnderOutageIsCountedNotHidden) {
   EXPECT_EQ(c.lost, c.overflow);
   EXPECT_EQ(c.residual(), 0);
   EXPECT_FALSE(c.exact());
-  EXPECT_EQ(fed.parent().records(0).size(), c.streamed - c.lost);
+  EXPECT_EQ(log.child(0).size(), c.streamed - c.lost);
   // What did survive is the newest suffix of the result stream.
   std::vector<std::string> tail;
   const auto& results = fed.query(0)->results();
@@ -213,11 +212,13 @@ TEST(Federation, ReplayOverflowUnderOutageIsCountedNotHidden) {
     tail.push_back(fields_key(results[i]));
   }
   std::sort(tail.begin(), tail.end());
-  EXPECT_EQ(field_multiset(fed.parent().records(0)), tail);
+  EXPECT_EQ(field_multiset(log.child(0)), tail);
 }
 
 TEST(Federation, ChildRestartIsExactlyIdempotent) {
   Federation fed(small_config(2));
+  RecordLog log;
+  ParentOracle::record(fed.parent(), log);
   ASSERT_TRUE(fed.submit(kQuery, 0).has_value());
   http_session(fed.emulation(0), 0, common::kSecond, "/pre");
   http_session(fed.emulation(1), 0, common::kSecond, "/pre");
@@ -241,8 +242,157 @@ TEST(Federation, ChildRestartIsExactlyIdempotent) {
     }
   }
   std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(field_multiset(fed.parent().all_records()), expected);
+  EXPECT_EQ(field_multiset(log.all()), expected);
   EXPECT_GE(fed.child(1).stats().reconnects, 1u);
+}
+
+/// One Federation::pump round with `inject` run between the children's
+/// sends and the parent's pump, so injected bytes share a drain with the
+/// children's own frames.
+template <typename Inject>
+void pump_injecting(Federation& fed, common::Timestamp t, Inject inject) {
+  for (std::size_t i = 0; i < fed.children(); ++i) fed.engine(i).pump(t);
+  for (std::size_t i = 0; i < fed.children(); ++i) fed.child(i).pump(t);
+  inject();
+  fed.parent().pump(t);
+  for (std::size_t i = 0; i < fed.children(); ++i) fed.child(i).flush(t);
+}
+
+/// A RECORDS frame at `offset` whose batch is cut after its first record:
+/// decode_records accepts it, read_batch throws after the visitor has
+/// seen a record.
+std::vector<std::byte> truncated_records(std::uint64_t offset) {
+  RecordsEncoder enc;
+  enc.begin(offset, 0);
+  for (int i = 0; i < 3; ++i) {
+    const std::vector<nf::FieldValue> row = {
+        nf::FieldValue{std::uint64_t{1}}, nf::FieldValue{std::uint64_t{2}},
+        nf::FieldValue{std::string{"request"}},
+        nf::FieldValue{std::string{"/evil"}}};
+    enc.add(row, 0);
+  }
+  std::vector<std::byte> frame = enc.finish();
+  constexpr std::size_t kCut = 20;  // inside the third record
+  frame.resize(frame.size() - kCut);
+  // Re-patch the frame length and the batch length to the cut size.
+  const std::uint32_t frame_len = static_cast<std::uint32_t>(frame.size() - 4);
+  std::memcpy(frame.data(), &frame_len, 4);
+  const std::uint32_t batch_len =
+      static_cast<std::uint32_t>(frame.size() - (4 + 1 + 8 + 8 + 4));
+  std::memcpy(frame.data() + 4 + 1 + 8 + 8, &batch_len, 4);
+  return frame;
+}
+
+/// [u32 len][u8 type][payload]
+std::vector<std::byte> raw_frame(MsgType type,
+                                 const std::vector<std::byte>& payload) {
+  common::ByteWriter w;
+  w.u32(static_cast<std::uint32_t>(payload.size() + 1));
+  w.u8(static_cast<std::uint8_t>(type));
+  for (const std::byte b : payload) w.u8(static_cast<std::uint8_t>(b));
+  return w.take();
+}
+
+struct CorruptionRun {
+  std::vector<std::string> rows;
+  std::string top_k;
+  std::string reconcile;
+  std::uint64_t corrupt[2] = {0, 0};
+  std::uint64_t fleet_counter[2] = {0, 0};
+  std::string exposition;
+};
+
+/// Sessions on both children from 1 s to 4.5 s; with `corrupt`, garbage
+/// lands mid-stream on both links at 2, 3, 4 and 5 s.
+CorruptionRun run_with_corruption(bool corrupt) {
+  Federation fed(small_config(2));
+  RecordLog log;
+  ParentOracle::record(fed.parent(), log);
+  EXPECT_TRUE(fed.submit(kQuery, 0).has_value());
+  for (std::size_t c = 0; c < 2; ++c) {
+    for (int j = 0; j < 8; ++j) {
+      http_session(fed.emulation(c), j,
+                   common::kSecond + j * 500 * common::kMillisecond,
+                   j % 3 == 0 ? "/hot" : (c == 0 ? "/a" : "/b"));
+    }
+  }
+  const auto inject = [&fed](std::size_t child, std::vector<std::byte> bytes,
+                             common::Timestamp t) {
+    EXPECT_TRUE(fed.link(child).send_up(bytes, t)) << "child " << child;
+  };
+  for (common::Timestamp t = common::kSecond; t <= 6 * common::kSecond;
+       t += common::kSecond) {
+    EXPECT_NO_THROW(pump_injecting(fed, t, [&] {
+      if (!corrupt) return;
+      // Forged records at the head of each child's stream: applied, they
+      // would claim offsets the child's real results own.
+      const std::uint64_t head0 = fed.child(0).next_offset();
+      const std::uint64_t head1 = fed.child(1).next_offset();
+      switch (t / common::kSecond) {
+        case 2:  // a length prefix beyond kMaxFramePayload
+          inject(0, std::vector<std::byte>(16, std::byte{0xff}), t);
+          inject(1, raw_frame(MsgType::metrics, {std::byte{1}}), t);
+          break;
+        case 3:  // records that decode halfway
+          inject(0, truncated_records(head0), t);
+          inject(1, raw_frame(static_cast<MsgType>(99), {}), t);
+          break;
+        case 4:
+          inject(0, raw_frame(MsgType::hello, {std::byte{0x4e}}), t);
+          inject(1, raw_frame(MsgType::records, std::vector<std::byte>(7)), t);
+          break;
+        case 5:
+          inject(0, raw_frame(MsgType::bye, {}), t);
+          inject(1, truncated_records(head1), t);
+          break;
+        default:
+          break;
+      }
+    }));
+    const auto report = fed.reconcile();
+    EXPECT_TRUE(report.exact()) << "t=" << t << "\n" << report.render();
+  }
+  fed.settle(7 * common::kSecond);
+  const auto report = fed.reconcile();
+  EXPECT_TRUE(report.exact()) << report.render();
+
+  CorruptionRun run;
+  for (const auto& row : log.all()) run.rows.push_back(fields_key(row));
+  std::sort(run.rows.begin(), run.rows.end());
+  run.top_k = fed.render_top_k();
+  run.reconcile = report.render();
+  run.exposition = fed.export_metrics();
+  const auto fleet = fed.parent().metrics().snapshot();
+  for (std::size_t c = 0; c < 2; ++c) {
+    run.corrupt[c] = fed.parent().child_stats(c).corrupt_frames;
+    run.fleet_counter[c] = fleet.counter_value(
+        "fleet.child" + std::to_string(c) + ".fed.corrupt_frames");
+  }
+  return run;
+}
+
+TEST(Federation, CorruptFramesQuarantineTheChildAndApplyNothing) {
+  const CorruptionRun clean = run_with_corruption(false);
+  const CorruptionRun dirty = run_with_corruption(true);
+  ASSERT_FALSE(clean.rows.empty());
+  // Every injection quarantined its child once; the clean fleet carries no
+  // corrupt-frame series at all.
+  for (std::size_t c = 0; c < 2; ++c) {
+    EXPECT_EQ(clean.corrupt[c], 0u);
+    EXPECT_EQ(dirty.corrupt[c], 4u) << "child " << c;
+    EXPECT_EQ(dirty.fleet_counter[c], 4u) << "child " << c;
+  }
+  EXPECT_EQ(clean.fleet_counter[0] + clean.fleet_counter[1], 0u);
+  EXPECT_EQ(clean.exposition.find("corrupt_frames"), std::string::npos);
+  EXPECT_NE(dirty.exposition.find(
+                "netalytics_fleet_fed_corrupt_frames{child=\"1\"} 4"),
+            std::string::npos);
+  // Reconnect plus gap replication recovered everything, and nothing of a
+  // corrupt frame was applied: same rows, same fan-in, same books.
+  EXPECT_EQ(dirty.rows, clean.rows);
+  EXPECT_EQ(dirty.top_k, clean.top_k);
+  EXPECT_EQ(dirty.top_k.find("/evil"), std::string::npos);
+  EXPECT_EQ(dirty.reconcile, clean.reconcile);
 }
 
 TEST(Federation, RejectsBadConfigAndDoubleSubmit) {

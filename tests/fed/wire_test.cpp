@@ -1,24 +1,45 @@
 // Wire-format unit tests (docs/FEDERATION.md): every message type round-
-// trips through encode/decode, the FrameParser reassembles frames from
-// arbitrary fragmentation, and corrupt streams (oversized length prefix,
-// unknown type byte, truncated payload) throw instead of desynchronizing.
+// trips through encode/decode, RECORDS frames match protocol v1's golden
+// bytes, the FrameParser reassembles frames from arbitrary fragmentation,
+// and corrupt streams (oversized length prefix, unknown type byte,
+// truncated payload) throw instead of desynchronizing.
 #include "fed/wire.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 
+#include "records_goldens.hpp"
+
 namespace netalytics::fed {
 namespace {
 
+/// A frame with its payload copied out of the parser.
+struct OwnedFrame {
+  MsgType type = MsgType::hello;
+  std::vector<std::byte> payload;
+};
+
+OwnedFrame own(const Frame& f) {
+  return {f.type, {f.payload.begin(), f.payload.end()}};
+}
+
 /// Parse exactly one frame out of a complete encoded frame.
-Frame parse_one(const std::vector<std::byte>& bytes) {
+OwnedFrame parse_one(const std::vector<std::byte>& bytes) {
   FrameParser p;
   p.feed(bytes);
   auto f = p.next();
   EXPECT_TRUE(f.has_value());
   EXPECT_EQ(p.buffered(), 0u);
-  return *f;
+  return f ? own(*f) : OwnedFrame{};
+}
+
+/// Frame a golden's rows the way a child does.
+std::vector<std::byte> encode_rows(const goldens::RecordsGolden& g) {
+  RecordsEncoder enc;
+  enc.begin(g.offset, g.tick);
+  for (const auto& row : g.rows) enc.add(row.values, row.trace);
+  return enc.finish();
 }
 
 TEST(FedWire, HelloRoundTrip) {
@@ -27,7 +48,7 @@ TEST(FedWire, HelloRoundTrip) {
                  .child_index = 3,
                  .next_offset = 12345,
                  .node_name = "child3"};
-  const Frame f = parse_one(encode(in));
+  const OwnedFrame f = parse_one(encode(in));
   EXPECT_EQ(f.type, MsgType::hello);
   EXPECT_EQ(decode_hello(f.payload), in);
 }
@@ -36,7 +57,7 @@ TEST(FedWire, WelcomeAckByeRoundTrip) {
   const Welcome w{.version = kProtocolVersion,
                   .child_index = 1,
                   .high_watermark = 999};
-  Frame f = parse_one(encode(w));
+  OwnedFrame f = parse_one(encode(w));
   EXPECT_EQ(f.type, MsgType::welcome);
   EXPECT_EQ(decode_welcome(f.payload), w);
 
@@ -57,33 +78,57 @@ TEST(FedWire, MetricsRoundTripCarriesAbsoluteValues) {
   in.counters.push_back({"q1.mon0.rx_packets", 1000});
   in.counters.push_back({"engine.pumps", 7});
   in.gauges.push_back({"mq.broker0.depth", -3});
-  const Frame f = parse_one(encode(in));
+  const OwnedFrame f = parse_one(encode(in));
   EXPECT_EQ(f.type, MsgType::metrics);
   EXPECT_EQ(decode_metrics(f.payload), in);
 }
 
 TEST(FedWire, RecordsRoundTripPreservesFieldsAndTraceIds) {
-  RecordsFrame in;
-  in.offset = 640;
-  in.tick = 2 * common::kSecond;
-  nf::Record r;
-  r.topic = "fed";
-  r.id = 0;
-  r.timestamp = in.tick;
-  r.fields = {nf::FieldValue{std::uint64_t{11}},
-              nf::FieldValue{std::int64_t{-4}}, nf::FieldValue{2.5},
-              nf::FieldValue{std::string{"/hot"}}};
-  r.trace = 0xdeadbeef;
-  in.records.push_back(r);
-  r.trace = 0;
-  r.fields[3] = nf::FieldValue{std::string{"/cold"}};
-  in.records.push_back(r);
-
-  const Frame f = parse_one(encode(in));
+  const auto g = goldens::traced_records();
+  const OwnedFrame f = parse_one(encode_rows(g));
   EXPECT_EQ(f.type, MsgType::records);
-  const RecordsFrame out = decode_records(f.payload);
-  EXPECT_EQ(out, in);
-  EXPECT_EQ(out.records[0].trace, 0xdeadbeefu);  // trace trailer survived
+  const RecordsView out = decode_records(f.payload);
+  EXPECT_EQ(out.offset, g.offset);
+  EXPECT_EQ(out.tick, g.tick);
+  const auto records = nf::deserialize_batch(out.batch);
+  ASSERT_EQ(records.size(), g.rows.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].topic, "fed");
+    EXPECT_EQ(records[i].id, 0u);
+    EXPECT_EQ(records[i].timestamp, g.tick);  // rows carry the frame tick
+    EXPECT_EQ(records[i].fields, g.rows[i].values) << "row " << i;
+    EXPECT_EQ(records[i].trace, g.rows[i].trace) << "row " << i;
+  }
+  EXPECT_EQ(records[1].trace, 0xdeadbeefcafef00du);  // trace trailer survived
+}
+
+// Protocol v1 pinned: the child's framing writes exactly the golden bytes
+// (recorded from the owned-record encoder this writer replaced).
+TEST(FedWire, RecordsFramesMatchProtocolV1Goldens) {
+  for (const auto& g : goldens::records_goldens()) {
+    EXPECT_EQ(encode_rows(g), g.frame) << "offset " << g.offset;
+  }
+}
+
+TEST(FedWire, RecordsEncoderIsReusableAcrossFrames) {
+  const auto goldens = goldens::records_goldens();
+  RecordsEncoder enc;
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& g : goldens) {
+      enc.begin(g.offset, g.tick);
+      for (const auto& row : g.rows) enc.add(row.values, row.trace);
+      EXPECT_EQ(enc.finish(), g.frame);
+    }
+  }
+}
+
+TEST(FedWire, TruncatedRecordsPayloadThrows) {
+  const OwnedFrame f = parse_one(goldens::traced_records().frame);
+  // Cut inside the header, and inside the batch its length announces.
+  for (const std::size_t keep : {std::size_t{12}, f.payload.size() - 1}) {
+    const std::span<const std::byte> cut(f.payload.data(), keep);
+    EXPECT_THROW(decode_records(cut), std::out_of_range) << keep;
+  }
 }
 
 TEST(FedWire, ParserReassemblesFromSingleByteFeeds) {
@@ -94,10 +139,10 @@ TEST(FedWire, ParserReassemblesFromSingleByteFeeds) {
   stream.insert(stream.end(), a.begin(), a.end());
 
   FrameParser p;
-  std::vector<Frame> frames;
+  std::vector<OwnedFrame> frames;
   for (const std::byte b : stream) {
     p.feed(std::span<const std::byte>(&b, 1));
-    while (auto f = p.next()) frames.push_back(std::move(*f));
+    while (auto f = p.next()) frames.push_back(own(*f));
   }
   ASSERT_EQ(frames.size(), 2u);
   EXPECT_EQ(frames[0].type, MsgType::hello);
@@ -133,7 +178,7 @@ TEST(FedWire, ParserRejectsOversizedAndUnknownFrames) {
 
 TEST(FedWire, TruncatedPayloadThrowsFromDecoders) {
   const auto full = encode(Welcome{.child_index = 1, .high_watermark = 5});
-  const Frame f = parse_one(full);
+  const OwnedFrame f = parse_one(full);
   const std::span<const std::byte> cut(f.payload.data(),
                                        f.payload.size() / 2);
   EXPECT_THROW(decode_welcome(cut), std::out_of_range);

@@ -50,6 +50,31 @@ TEST(FanInTopK, RenderIsDeterministicAndRanked) {
   EXPECT_EQ(first, "1 c 9\n2 a 2\n3 b 2\n");
 }
 
+// The federation parent adds keys by view into its decode scratch. Keys
+// that share the small-string-buffer prefix and differ only past it must
+// stay distinct, and the view path must render exactly as owned keys do.
+TEST(FanInTopK, StringViewAddsMatchOwnedKeys) {
+  const std::string prefix(24, 'k');  // past any small-string buffer
+  const std::vector<std::string> keys = {prefix + "a", prefix + "b",
+                                         prefix + "a", prefix + "c",
+                                         prefix + "b", prefix + "a", "short"};
+  FanInTopK owned(2, 10);
+  FanInTopK viewed(2, 10);
+  std::string scratch;  // reused, as the parent's decode scratch is
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    owned.add(i % 2, keys[i], 1);
+    scratch = keys[i];
+    viewed.add(i % 2, std::string_view(scratch), 1);
+  }
+  EXPECT_EQ(viewed.render(), owned.render());
+  EXPECT_EQ(viewed.local(0), owned.local(0));
+  EXPECT_EQ(viewed.local(1), owned.local(1));
+  EXPECT_EQ(viewed.local(0).size(), 3u);  // a and b (past the prefix), short
+  EXPECT_EQ(viewed.global().entries().front().key, prefix + "a");
+  EXPECT_EQ(viewed.global().entries().front().count, 3u);
+  EXPECT_EQ(viewed.total_updates(), keys.size());
+}
+
 TEST(FanInTopK, RejectsZeroSourcesAndClampsZeroK) {
   EXPECT_THROW(FanInTopK(0, 4), std::invalid_argument);
   FanInTopK one(1, 0);  // k clamps to 1
